@@ -4,12 +4,11 @@ Subpackages
 -----------
 bandlin     banded symmetric linear algebra and precision-form Gaussians
 model       model/prior types, sign-restriction validation, permutations
+tmvn        truncated multivariate normal sampling
 gibbs       six-block posterior sampler
 intlike     integrated (observed-data) likelihood machinery
 marglike    marginal likelihood via adaptive importance sampling
-structural  impulse responses, variance and historical decompositions
 simulate    data-generating processes and experiment harnesses
-cli         command-line front end
 """
 
 __version__ = "0.1.0"

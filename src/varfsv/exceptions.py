@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class VarFsvError(Exception):
@@ -6,7 +6,7 @@ class VarFsvError(Exception):
 
 
 class NumericalError(VarFsvError):
-    """Fatal numerical failure (CLI exit code 4)."""
+    """Fatal numerical failure."""
 
 
 class NotPositiveDefiniteError(NumericalError):
@@ -63,32 +63,9 @@ class NonPositiveScaleError(VarFsvError):
     pass
 
 
-class NonInvertibleMeanError(NumericalError):
-    """(I - A_1 - ... - A_p) is singular; the unconditional mean is undefined."""
-
-
 class MaxResimulationsError(VarFsvError):
     pass
 
 
 class ConfigError(VarFsvError):
-    """Invalid configuration (CLI exit code 2)."""
-
-
-class DataError(VarFsvError):
-    """Invalid input data (CLI exit code 3)."""
-
-
-class ParseError(DataError):
-    pass
-
-
-class MissingValueError(DataError):
-    def __init__(self, msg, row=None, col=None):
-        super().__init__(msg)
-        self.row = row
-        self.col = col
-
-
-class NonStationaryWarning(UserWarning):
-    """Companion spectral radius at or above one; moving-average sums may diverge."""
+    """Invalid configuration."""

@@ -21,6 +21,7 @@ import scipy.linalg
 from . import tmvn
 from .bandlin import BandSymMatrix, GaussianInPrecisionForm
 from .exceptions import ConfigError, NumericalError, TruncationFailureError
+from .intlike import ar1_precision_diagonals, factor_precision, residuals
 from .model import (
     FREE,
     NEG,
@@ -28,6 +29,7 @@ from .model import (
     ZERO,
     LatentStates,
     ParamDraw,
+    sign_bounds,
     validate_point_identification,
 )
 
@@ -113,10 +115,12 @@ class McmcChain:
 
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
+        # an unset phi_accept is left out: np.load reads no None without pickle
+        extra = {} if self.phi_accept is None else {"phi_accept": self.phi_accept}
         np.savez_compressed(
             os.path.join(directory, "draws.npz"),
             beta=self.beta, load=self.load, mu=self.mu, phi=self.phi,
-            sig2=self.sig2, h=self.h, f=self.f, phi_accept=self.phi_accept,
+            sig2=self.sig2, h=self.h, f=self.f, **extra,
         )
         manifest = {
             "format": CHAIN_FORMAT,
@@ -144,7 +148,7 @@ class McmcChain:
             settings=McmcSettings(**manifest["settings"]),
             beta=data["beta"], load=data["load"], mu=data["mu"],
             phi=data["phi"], sig2=data["sig2"], h=data["h"], f=data["f"],
-            phi_accept=data["phi_accept"],
+            phi_accept=data["phi_accept"] if "phi_accept" in data else None,
         )
 
 
@@ -156,15 +160,11 @@ def sample_factors(y, x, draw, h, rng):
     """Joint draw of all factor paths from N(f-hat, K_f^{-1}); K_f is block
     diagonal over time, assembled as one band matrix so a single banded
     factorization covers the whole path."""
-    n, r = draw.n, draw.r
+    r = draw.r
     T = y.shape[0]
     if r == 0:
         return np.zeros((T, 0))
-    eps = y - x @ draw.beta_matrix().T
-    ehy = np.exp(-h[:, :n])
-    K = np.einsum("tn,nj,nk->tjk", ehy, draw.load, draw.load)
-    K[:, np.arange(r), np.arange(r)] += np.exp(-h[:, n:])
-    b = np.einsum("tn,nj->tj", ehy * eps, draw.load)
+    K, b, _ = factor_precision(residuals(y, x, draw.beta), draw.load, h)
     fhat = np.linalg.solve(K, b[..., None])[..., 0]
     gauss = GaussianInPrecisionForm(fhat.ravel(), BandSymMatrix.from_blocks(K))
     return gauss.sample(rng).reshape(T, r)
@@ -216,8 +216,7 @@ def sample_beta_loadings(y_i, x, fmat, h_i, beta_mean_i, beta_var_i,
     e = scipy.linalg.cho_solve(cb, kbl, check_finite=False)
     schur = K[k:, k:] - kbl.T @ e
     cov_l = np.linalg.inv(schur)
-    lb = np.where(sign_row[kept] == POS, 0.0, -np.inf)
-    ub = np.where(sign_row[kept] == NEG, 0.0, np.inf)
+    lb, ub = sign_bounds(sign_row[kept])
     l_hat = theta_hat[k:]
     l_draw = None
     try:
@@ -283,14 +282,7 @@ def _stacked_sv_draw(ystar, h_current, means, phi, sig2, rng):
     # series-major stacking: series i occupies [i*T, (i+1)*T)
     obs = (ystar - _MIX_MEAN[s]).T.ravel()
     obs_prec = (1.0 / _MIX_VAR[s]).T.ravel()
-    main = np.empty((d, T))
-    main[:, 0] = (1.0 - phi**2) / sig2
-    main[:, 1:] = (1.0 / sig2)[:, None]
-    main[:, :-1] += (phi**2 / sig2)[:, None]
-    off = np.zeros((d, T))
-    off[:, : T - 1] = (-phi / sig2)[:, None]
-    prior_bands = np.vstack([main.ravel(), off.ravel()]) if T > 1 else main.ravel()[None]
-    prior = BandSymMatrix(prior_bands)
+    prior = _series_major_prior(phi, sig2, T)
     prior_mean = np.repeat(means, T)
     post = prior.add_diagonal(obs_prec)
     rhs = prior.matvec(prior_mean) + obs_prec * obs
@@ -299,6 +291,16 @@ def _stacked_sv_draw(ystar, h_current, means, phi, sig2, rng):
     gauss = GaussianInPrecisionForm(mean, post)
     gauss._factor = factor
     return gauss.sample(rng).reshape(d, T).T
+
+
+def _series_major_prior(phi, sig2, T):
+    """AR(1) prior precision of the d = len(phi) paths stacked series by
+    series (series i occupies [i*T, (i+1)*T)): tridiagonal, since each
+    series' lag diagonal ends in a zero."""
+    main, lag = ar1_precision_diagonals(phi, sig2, T)
+    return BandSymMatrix(
+        np.vstack([main.ravel(), lag.ravel()]) if T > 1 else main.ravel()[None]
+    )
 
 
 def sample_volatility_path(z, mu, phi, sig2, rng, h_current=None, scans=1):
@@ -473,7 +475,7 @@ def run_chain(y, x, spec, settings, reduced_form=False):
                     pri.load_mean[i], pri.load_var[i],
                     spec.signs.codes[i], rng_eq[i], prev_load=load[i],
                 )
-            resid = y - x @ beta_mat.T - f @ load.T
+            resid = residuals(y, x, beta_mat) - f @ load.T
             zmat = np.concatenate([resid, f], axis=1)
             ystar = np.log(zmat**2 + LOG_SQUARE_OFFSET)
             mean_full[:n] = mu

@@ -9,6 +9,8 @@ positive definite, the default) and direct differentiation of the log target.
 
 Throughout, `h` is stored (T, n+r) with the idiosyncratic block first;
 stacked vectors interleave time-major, matching the banded state precision.
+The factor-block precision and the AR(1) prior diagonals defined here are
+the only copies in the package; the Gibbs sampler uses them too.
 """
 
 from dataclasses import dataclass
@@ -34,8 +36,41 @@ def residuals(y, x, beta):
     return y - x @ bmat.T
 
 
+def factor_precision(eps, load, h):
+    """Per-period precision and linear term of the factors given the data:
+    K_t = L' Sigma_t^{-1} L + Omega_t^{-1} and b_t = L' Sigma_t^{-1} eps_t,
+    so f_t | y_t, h_t ~ N(K_t^{-1} b_t, K_t^{-1}).
+
+    h is (..., T, n+r) with any leading batch axes; returns K (..., T, r, r),
+    b (..., T, r) and Sigma_t^{-1} = exp(-h_y) as (..., T, n).
+    """
+    n, r = load.shape
+    ehy = np.exp(-h[..., :n])
+    K = np.einsum("...tn,nj,nk->...tjk", ehy, load, load)
+    K[..., np.arange(r), np.arange(r)] += np.exp(-h[..., n:])
+    b = np.einsum("...tn,nj->...tj", ehy * eps, load)
+    return K, b, ehy
+
+
 # ---------------------------------------------------------------------------
 # state prior
+
+
+def ar1_precision_diagonals(phi, sig2, T):
+    """Main and first-lag diagonals of the stationary AR(1) prior precision
+    of each of the d = len(phi) log-volatility series, both (d, T).
+
+    main[i, t] is the precision of h_{t,i}; lag[i, t] couples h_{t,i} with
+    h_{t+1,i} and is zero at t = T-1.  Callers stack the rows in their own
+    layout.
+    """
+    main = np.empty((len(phi), T))
+    main[:, 0] = (1.0 - phi**2) / sig2
+    main[:, 1:] = (1.0 / sig2)[:, None]
+    main[:, :-1] += (phi**2 / sig2)[:, None]
+    lag = np.zeros((len(phi), T))
+    lag[:, : T - 1] = (-phi / sig2)[:, None]
+    return main, lag
 
 
 @dataclass(frozen=True)
@@ -70,11 +105,13 @@ class StatePriorAssembly:
         mean = np.tile(np.concatenate([mu, np.zeros(d - n)]), T)
         s_diag = np.tile(sig2, T)
         s_diag[:d] = sig2 / (1.0 - phi**2)
+        # time-major stacking: period t occupies [t*d, (t+1)*d), so the lag
+        # diagonal sits d bands below the main one
+        main, lag = ar1_precision_diagonals(phi, sig2, T)
         bands = np.zeros((d + 1 if T > 1 else 1, T * d))
-        bands[0] = 1.0 / s_diag
+        bands[0] = main.T.ravel()
         if T > 1:
-            bands[0, : (T - 1) * d] += np.tile(phi**2 / sig2, T - 1)
-            bands[d, : (T - 1) * d] = np.tile(-phi / sig2, T - 1)
+            bands[d] = lag.T.ravel()
         log_det = float(-T * np.sum(np.log(sig2)) + np.sum(np.log1p(-(phi**2))))
         return cls(mean, s_diag, phi, BandSymMatrix(bands), log_det)
 
@@ -109,58 +146,35 @@ def log_cond_likelihood(y, x, beta, load, h):
     """Sum over t of log N(y_t; (I kron x_t')beta, L Omega_t L' + Sigma_t).
 
     h may be (T, n+r) or batched (R, T, n+r); returns scalar or (R,).
-    The diagonal-plus-low-rank structure is exploited through the Woodbury
-    identity when r is small relative to n.
+    The diagonal-plus-low-rank covariance is handled through the Woodbury
+    identity and the matrix determinant lemma, which are exact for every
+    (n, r), r = 0 included.
     """
     y = np.asarray(y, dtype=float)
     load = np.atleast_2d(np.asarray(load, dtype=float))
-    n, r = load.shape
     eps = residuals(y, x, beta)
     h = np.asarray(h, dtype=float)
     batched = h.ndim == 3
     hh = h if batched else h[None]
-    out = _log_cond_batch(eps, load, hh, n, r)
+    out = _log_cond_batch(eps, load, hh)
     return out if batched else float(out[0])
 
 
-def _log_cond_batch(eps, load, h, n, r):
-    T = eps.shape[0]
+def _log_cond_batch(eps, load, h):
+    T, n = eps.shape
     hy = h[:, :, :n]
     hf = h[:, :, n:]
-    if r == 0:
-        quad = np.sum(eps**2 * np.exp(-hy), axis=(1, 2))
-        logdet = np.sum(hy, axis=(1, 2))
-        return -0.5 * T * n * _LOG2PI - 0.5 * logdet - 0.5 * quad
-    if 2 * r < n:
-        ehy = np.exp(-hy)  # (R, T, n)
-        ehf = np.exp(-hf)  # (R, T, r)
-        K = np.einsum("btn,nj,nk->btjk", ehy, load, load)
-        K[..., np.arange(r), np.arange(r)] += ehf
-        b = np.einsum("btn,nj->btj", ehy * eps, load)
-        try:
-            ck = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("factor-block matrix not PD") from exc
-        logdet = np.sum(hy, axis=(1, 2)) + np.sum(hf, axis=(1, 2)) + 2.0 * np.sum(
-            np.log(np.diagonal(ck, axis1=-2, axis2=-1)), axis=(1, 2)
-        )
-        quad = np.sum(eps**2 * ehy, axis=(1, 2)) - np.sum(
-            b * np.linalg.solve(K, b[..., None])[..., 0], axis=(1, 2)
-        )
-        return -0.5 * T * n * _LOG2PI - 0.5 * logdet - 0.5 * quad
-    # dense route: n is small or r close to n
-    G = np.einsum("btj,nj,mj->btnm", np.exp(hf), load, load)
-    G[..., np.arange(n), np.arange(n)] += np.exp(hy)
+    K, b, ehy = factor_precision(eps, load, h)
     try:
-        cg = np.linalg.cholesky(G)
+        ck = np.linalg.cholesky(K)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("observation covariance not PD") from exc
-    logdet = 2.0 * np.sum(
-        np.log(np.diagonal(cg, axis1=-2, axis2=-1)), axis=(1, 2)
+        raise NotPositiveDefiniteError("factor-block matrix not PD") from exc
+    logdet = np.sum(hy, axis=(1, 2)) + np.sum(hf, axis=(1, 2)) + 2.0 * np.sum(
+        np.log(np.diagonal(ck, axis1=-2, axis2=-1)), axis=(1, 2)
     )
-    rhs = np.broadcast_to(eps[..., None], G.shape[:2] + (n, 1))
-    sol = np.linalg.solve(G, rhs)[..., 0]
-    quad = np.einsum("tn,btn->b", eps, sol)
+    quad = np.sum(eps**2 * ehy, axis=(1, 2)) - np.sum(
+        b * np.linalg.solve(K, b[..., None])[..., 0], axis=(1, 2)
+    )
     return -0.5 * T * n * _LOG2PI - 0.5 * logdet - 0.5 * quad
 
 
@@ -178,13 +192,8 @@ class EmResult:
 
 def _estep(eps, load, h, n, r):
     """Conditional factor moments and the per-coordinate quadratic weights
-    z-hat entering the Q function."""
-    ehy = np.exp(-h[:, :n])
-    if r == 0:
-        return None, None, eps**2
-    K = np.einsum("tn,nj,nk->tjk", ehy, load, load)
-    K[:, np.arange(r), np.arange(r)] += np.exp(-h[:, n:])
-    b = np.einsum("tn,nj->tj", ehy * eps, load)
+    z-hat entering the Q function (h is (T, n+r), load (n, r))."""
+    K, b, _ = factor_precision(eps, load, h)
     fhat = np.linalg.solve(K, b[..., None])[..., 0]
     kinv = np.linalg.inv(K)
     resid = eps - fhat @ load.T
@@ -307,7 +316,11 @@ def hessian_direct(h_hat, draw, y, x):
     h = np.asarray(h_hat, dtype=float).reshape(T, d)
     eps = residuals(y, x, draw.beta)
     prior = StatePriorAssembly.build(draw.mu, draw.phi, draw.sig2, T)
-    ginv = _obs_cov_inverse(draw.load, h, n, r)
+    # (L Omega_t L' + Sigma_t)^{-1} for all t, via Woodbury
+    K, _, ehy = factor_precision(eps, draw.load, h)
+    u = ehy[:, :, None] * draw.load  # (T, n, r) = Sigma^{-1} L
+    ginv = -np.einsum("tnj,tjk,tmk->tnm", u, np.linalg.inv(K), u)
+    ginv[:, np.arange(n), np.arange(n)] += ehy
     v = np.hstack([np.eye(n), draw.load])  # (n, n+r); column i hits h coordinate i
     m = np.einsum("nd,tnm,me->tde", v, ginv, v)
     a = np.einsum("nd,tnm,tm->td", v, ginv, eps)
@@ -317,22 +330,6 @@ def hessian_direct(h_hat, draw, y, x):
     zb = (eh * a)[:, :, None] * a[:, None, :]
     neg_h2 = -0.5 * zb.transpose(0, 2, 1) * (np.eye(d) - 2.0 * zt)
     return band_add(prior.precision, BandSymMatrix.from_blocks(neg_h1 + neg_h2))
-
-
-def _obs_cov_inverse(load, h, n, r):
-    """(L Omega_t L' + Sigma_t)^{-1} for all t, via Woodbury."""
-    ehy = np.exp(-h[:, :n])
-    T = h.shape[0]
-    if r == 0:
-        out = np.zeros((T, n, n))
-        out[:, np.arange(n), np.arange(n)] = ehy
-        return out
-    K = np.einsum("tn,nj,nk->tjk", ehy, load, load)
-    K[:, np.arange(r), np.arange(r)] += np.exp(-h[:, n:])
-    u = ehy[:, :, None] * load  # (T, n, r) = Sigma^{-1} L
-    out = -np.einsum("tnj,tjk,tmk->tnm", u, np.linalg.inv(K), u)
-    out[:, np.arange(n), np.arange(n)] += ehy
-    return out
 
 
 # ---------------------------------------------------------------------------

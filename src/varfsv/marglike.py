@@ -26,7 +26,7 @@ from .exceptions import (
     InsufficientDrawsError,
     VarFsvError,
 )
-from .model import NEG, POS, ZERO, ModelSpec, ParamDraw, SignMatrix
+from .model import ZERO, ModelSpec, ParamDraw, SignMatrix, sign_bounds
 
 _LOG2PI = np.log(2.0 * np.pi)
 _VAR_FLOOR = 1e-10
@@ -126,12 +126,6 @@ def fit_ce_family(chain, signs):
     )
 
 
-def _sign_bounds(codes):
-    lb = np.where(codes == POS, 0.0, -np.inf)
-    ub = np.where(codes == NEG, 0.0, np.inf)
-    return lb, ub
-
-
 def sample_from_family(fam, signs, rng):
     """One parameter draw from the fitted family; each sign-restricted
     loading comes from its normal truncated to the sign region."""
@@ -143,7 +137,7 @@ def sample_from_family(fam, signs, rng):
     load = np.zeros((n, signs.r))
     keep = signs.codes != ZERO
     if keep.any():
-        lb, ub = _sign_bounds(signs.codes[keep])
+        lb, ub = sign_bounds(signs.codes[keep])
         lm, ls = fam.load_mean[keep], np.sqrt(fam.load_var[keep])
         load[keep] = lm + ls * tmvn.trandn(rng, (lb - lm) / ls, (ub - lm) / ls)
     sig2 = fam.sig2_scale / rng.gamma(fam.sig2_shape)
@@ -174,12 +168,24 @@ def _invgamma_logpdf(x, shape, scale):
     )
 
 
-def _loading_logpdf(load, mean, var, codes):
-    """Per-entry truncated-normal log-density of the loadings that are not
-    restricted to ZERO, truncation masses included."""
+def _loading_sv_logpdf(draw, dens, codes):
+    """Log-density of the loading and SV-parameter blocks under `dens`, a
+    PriorSpec or a CeFamilyParams (both name these hyperparameters alike):
+    per-entry truncated-normal loadings that are not restricted to ZERO,
+    inverse-gamma variances, normal means and truncated-normal AR
+    coefficients on (-1, 1), truncation masses included."""
     keep = codes != ZERO
-    lb, ub = _sign_bounds(codes[keep])
-    return np.sum(_truncnorm_logpdf(load[keep], mean[keep], var[keep], lb, ub))
+    lb, ub = sign_bounds(codes[keep])
+    return (
+        np.sum(_truncnorm_logpdf(
+            draw.load[keep], dens.load_mean[keep], dens.load_var[keep], lb, ub
+        ))
+        + np.sum(_invgamma_logpdf(draw.sig2, dens.sig2_shape, dens.sig2_scale))
+        + np.sum(_normal_logpdf(draw.mu, dens.mu_mean, dens.mu_var))
+        + np.sum(
+            _truncnorm_logpdf(draw.phi, dens.phi_mean, dens.phi_var, -1.0, 1.0)
+        )
+    )
 
 
 def family_logpdf(fam, draw, signs):
@@ -193,13 +199,7 @@ def family_logpdf(fam, draw, signs):
             fam.beta_chol[i], dev[i], lower=True, check_finite=False
         )
         total += -np.sum(np.log(np.diag(fam.beta_chol[i]))) - 0.5 * white @ white
-    total += _loading_logpdf(draw.load, fam.load_mean, fam.load_var, signs.codes)
-    total += np.sum(_invgamma_logpdf(draw.sig2, fam.sig2_shape, fam.sig2_scale))
-    total += np.sum(_normal_logpdf(draw.mu, fam.mu_mean, fam.mu_var))
-    total += np.sum(
-        _truncnorm_logpdf(draw.phi, fam.phi_mean, fam.phi_var, -1.0, 1.0)
-    )
-    return float(total)
+    return float(total + _loading_sv_logpdf(draw, fam, signs.codes))
 
 
 def log_prior(draw, spec):
@@ -210,13 +210,7 @@ def log_prior(draw, spec):
     total = np.sum(
         _normal_logpdf(draw.beta, pri.beta_mean.ravel(), pri.beta_var.ravel())
     )
-    total += _loading_logpdf(
-        draw.load, pri.load_mean, pri.load_var, spec.signs.codes
-    )
-    total += np.sum(_invgamma_logpdf(draw.sig2, pri.sig2_shape, pri.sig2_scale))
-    total += np.sum(_normal_logpdf(draw.mu, pri.mu_mean, pri.mu_var))
-    total += np.sum(_truncnorm_logpdf(draw.phi, pri.phi_mean, pri.phi_var, -1.0, 1.0))
-    return float(total)
+    return float(total + _loading_sv_logpdf(draw, pri, spec.signs.codes))
 
 
 def adaptive_integrated_likelihood(y, x, draw, rng, r1_init=10, r1_cap=640,

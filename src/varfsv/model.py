@@ -91,6 +91,15 @@ class SignMatrix:
         return bool(ok.all())
 
 
+def sign_bounds(codes):
+    """Box bounds (lower, upper) of the sign regions of loadings with these
+    codes: POS is (0, inf), NEG (-inf, 0), FREE unbounded.  ZERO entries are
+    not sampled, so callers drop them first."""
+    lb = np.where(codes == POS, 0.0, -np.inf)
+    ub = np.where(codes == NEG, 0.0, np.inf)
+    return lb, ub
+
+
 def _parse_sign_cell(cell):
     key = cell.strip().upper()
     if key in _TEXT_TO_SIGN:

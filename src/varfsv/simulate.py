@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import MaxResimulationsError
+from .exceptions import MaxResimulationsError, VarFsvError
 from .model import LatentStates, ParamDraw
 
 _BURN = 100  # transient periods discarded before the kept sample
@@ -172,13 +172,14 @@ class SelectionCellResult:
 
 
 def selection_experiment(grid, replications, candidates, run_candidate,
-                         base_seed=0, threads=1):
+                         base_seed=0):
     """Factor-count selection frequencies over a design grid.
 
     `run_candidate(bundle, r, seed)` must return the log marginal likelihood
     of the candidate model with r factors on the given dataset (the harness
-    in `marglike.select_factor_count` provides this).  Per-replication
-    failures are logged and excluded, with counts reported.
+    in `marglike.select_factor_count` provides this).  A replication whose
+    data generation or candidate raises a `VarFsvError` is recorded as a
+    failure and excluded, with counts reported; any other error propagates.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -186,13 +187,18 @@ def selection_experiment(grid, replications, candidates, run_candidate,
         raise ValueError("candidates must be nonempty")
     results = []
     for cell_idx, (n, theta, r_true, T, p) in enumerate(grid):
-        tasks = []
+        winners = []
+        failures = []
         for rep in range(replications):
             seed = base_seed + 1000 * cell_idx + rep
-            tasks.append((n, theta, r_true, T, p, seed))
-        outcomes = _run_cell(tasks, candidates, run_candidate, threads)
-        winners = [w for w in outcomes if not isinstance(w, str)]
-        failures = [w for w in outcomes if isinstance(w, str)]
+            try:
+                cfg = DgpConfig(n=n, p=p, r=r_true, T=T, theta=theta, seed=seed)
+                bundle = generate_dataset(cfg)
+                scores = {r: run_candidate(bundle, r, seed) for r in candidates}
+            except VarFsvError as exc:
+                failures.append(f"seed {seed}: {type(exc).__name__}: {exc}")
+                continue
+            winners.append(max(sorted(scores), key=lambda r: (scores[r], -r)))
         freq = {
             r: (np.sum([w == r for w in winners]) / len(winners) if winners else 0.0)
             for r in candidates
@@ -205,27 +211,3 @@ def selection_experiment(grid, replications, candidates, run_candidate,
             )
         )
     return results
-
-
-def _run_cell(tasks, candidates, run_candidate, threads):
-    args = [(task, candidates, run_candidate) for task in tasks]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_one_replication_star, args))
-    return [_one_replication_star(a) for a in args]
-
-
-def _one_replication_star(packed):
-    (n, theta, r_true, T, p, seed), candidates, run_candidate = packed
-    try:
-        cfg = DgpConfig(n=n, p=p, r=r_true, T=T, theta=theta, seed=seed)
-        bundle = generate_dataset(cfg)
-        scores = {}
-        for r in candidates:
-            scores[r] = run_candidate(bundle, r, seed)
-        best = max(sorted(scores), key=lambda r: (scores[r], -r))
-        return best
-    except Exception as exc:  # noqa: BLE001 - failures are logged, not fatal
-        return f"seed {seed}: {type(exc).__name__}: {exc}"

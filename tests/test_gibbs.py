@@ -325,6 +325,17 @@ class TestRunChain:
         assert np.array_equal(back.h, chain.h)
         assert back.settings == chain.settings
 
+    def test_save_load_round_trip_without_phi_accept(self, tmp_path):
+        rng = np.random.default_rng(16)
+        y, x, spec = tiny_spec(rng, T=22)
+        settings = gibbs.McmcSettings(burn_in=2, draws=3, seed=2)
+        chain = gibbs.run_chain(y, x, spec, settings, reduced_form=True)
+        chain.phi_accept = None
+        chain.save(tmp_path / "chain")
+        back = gibbs.McmcChain.read(tmp_path / "chain")
+        assert back.phi_accept is None
+        assert np.array_equal(back.load, chain.load)
+
     @pytest.mark.slow
     def test_order_invariance_in_distribution(self):
         n, p, T = 4, 1, 200

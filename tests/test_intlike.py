@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from varfsv import intlike
+from varfsv import gibbs, intlike
 from varfsv.exceptions import NonStationaryError
 from varfsv.model import LatentStates, ParamDraw, Permutation, permute_data, permute_model
 
@@ -48,6 +48,25 @@ class TestStatePrior:
             -np.linalg.slogdet(cov)[1], abs=1e-10
         )
         assert np.all(prior.s_diag[:3] == sig2 / (1 - phi**2))
+
+    @pytest.mark.parametrize("T", [1, 4])
+    def test_series_and_time_major_bands_agree(self, T):
+        # the Gibbs volatility block stacks the paths series by series, the
+        # likelihood period by period; both must hold the same precision
+        mu = np.array([-1.0, 0.5])
+        phi = np.array([0.9, -0.3, 0.6])
+        sig2 = np.array([0.1, 0.2, 0.05])
+        d = len(phi)
+        time_major = intlike.StatePriorAssembly.build(mu, phi, sig2, T).precision
+        series_major = gibbs._series_major_prior(phi, sig2, T)
+        assert series_major.bandwidth == min(1, T - 1)
+        # coordinate t*d + i of the time-major stack is i*T + t series-major
+        perm = np.arange(T * d).reshape(d, T).T.ravel()
+        assert np.array_equal(
+            series_major.to_dense()[np.ix_(perm, perm)], time_major.to_dense()
+        )
+        _, cov = dense_state_covariance(mu, phi, sig2, T)
+        assert np.allclose(time_major.to_dense(), np.linalg.inv(cov), atol=1e-10)
 
     def test_log_state_prior_T1_is_stationary_density(self):
         mu = np.array([-1.0])
@@ -111,19 +130,20 @@ class TestCondLikelihood:
         got = intlike.log_cond_likelihood(y, x, draw.beta, draw.load, h)
         assert got == pytest.approx(want, abs=1e-12)
 
-    def test_woodbury_and_dense_routes_agree(self):
+    @pytest.mark.parametrize("n, r", [(5, 1), (1, 1), (3, 2), (2, 0)])
+    def test_woodbury_and_dense_routes_agree(self, n, r):
         rng = np.random.default_rng(5)
-        y, x, draw = make_problem(rng, n=5, r=1, T=7)
-        h = 0.3 * rng.standard_normal((7, 6))
+        y, x, draw = make_problem(rng, n=n, r=r, T=7)
+        h = 0.3 * rng.standard_normal((7, n + r))
         got = intlike.log_cond_likelihood(y, x, draw.beta, draw.load, h)
         # dense oracle, time by time
         eps = intlike.residuals(y, x, draw.beta)
         want = 0.0
         for t in range(7):
-            cov = draw.load @ np.diag(np.exp(h[t, 5:])) @ draw.load.T + np.diag(
-                np.exp(h[t, :5])
+            cov = draw.load @ np.diag(np.exp(h[t, n:])) @ draw.load.T + np.diag(
+                np.exp(h[t, :n])
             )
-            want += stats.multivariate_normal.logpdf(eps[t], np.zeros(5), cov)
+            want += stats.multivariate_normal.logpdf(eps[t], np.zeros(n), cov)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_invariant_under_matched_permutation(self):
