@@ -2,10 +2,13 @@
 
 The likelihood of the data with factors integrated out analytically and
 log-volatility paths integrated out by importance sampling: a Gaussian
-importance density is built from the mode of p(h | y, params) (found by an
-EM algorithm whose M-step is banded Newton-Raphson) and the negative Hessian
-at the mode.  Two Hessian routes are available: the EM decomposition (always
-positive definite, the default) and direct differentiation of the log target.
+importance density is built from the mode of p(h | y, params) and the
+negative Hessian at the mode.  The mode comes from the EM gradient algorithm
+(Lange, 1995): one banded Newton step on the EM Q function per iteration,
+halved until the exact log target does not decrease, so the iterates are
+monotone in that target.  Two Hessian routes are available: the EM
+decomposition (always positive definite, the default) and direct
+differentiation of the log target.
 
 Throughout, `h` is stored (T, n+r) with the idiosyncratic block first;
 stacked vectors interleave time-major, matching the banded state precision.
@@ -79,17 +82,13 @@ class StatePriorAssembly:
 
     mean      m, the stacked unconditional mean (idiosyncratic blocks mu,
               factor blocks zero)
-    s_diag    diagonal of S: innovation variances, with the first time block
-              scaled to the stationary variance sig2 / (1 - phi^2)
-    precision the banded matrix H' S^{-1} H (H has unit diagonal, so the
-              precision log-determinant is -log|S|)
+    precision the banded matrix H' S^{-1} H, with H the stacked AR(1)
+              differencing operator and S the innovation variances (the first
+              time block at the stationary variance sig2 / (1 - phi^2))
     """
 
     mean: np.ndarray
-    s_diag: np.ndarray
-    phi: np.ndarray
     precision: BandSymMatrix
-    log_det_precision: float
 
     @classmethod
     def build(cls, mu, phi, sig2, T):
@@ -103,8 +102,6 @@ class StatePriorAssembly:
         d = len(phi)
         n = len(mu)
         mean = np.tile(np.concatenate([mu, np.zeros(d - n)]), T)
-        s_diag = np.tile(sig2, T)
-        s_diag[:d] = sig2 / (1.0 - phi**2)
         # time-major stacking: period t occupies [t*d, (t+1)*d), so the lag
         # diagonal sits d bands below the main one
         main, lag = ar1_precision_diagonals(phi, sig2, T)
@@ -112,8 +109,7 @@ class StatePriorAssembly:
         bands[0] = main.T.ravel()
         if T > 1:
             bands[d] = lag.T.ravel()
-        log_det = float(-T * np.sum(np.log(sig2)) + np.sum(np.log1p(-(phi**2))))
-        return cls(mean, s_diag, phi, BandSymMatrix(bands), log_det)
+        return cls(mean, BandSymMatrix(bands))
 
 
 def log_state_prior(h, mu, phi, sig2):
@@ -186,11 +182,10 @@ def _log_cond_batch(eps, load, h):
 class EmResult:
     h_hat: np.ndarray  # (T, n + r)
     n_em_iters: int
-    n_newton_steps: int
-    q_trace: list
+    n_newton_steps: int  # one per iteration
 
 
-def _estep(eps, load, h, n, r):
+def _estep(eps, load, h):
     """Conditional factor moments and the per-coordinate quadratic weights
     z-hat entering the Q function (h is (T, n+r), load (n, r))."""
     K, b, _ = factor_precision(eps, load, h)
@@ -202,16 +197,10 @@ def _estep(eps, load, h, n, r):
     return fhat, kinv, np.concatenate([zy, zf], axis=1)
 
 
-def _q_value(prior, h_flat, zhat_flat):
-    dev = h_flat - prior.mean
-    return float(
-        -0.5 * prior.precision.quad_form(dev)
-        - 0.5 * np.sum(h_flat)
-        - 0.5 * np.sum(zhat_flat * np.exp(-h_flat))
-    )
-
-
 def q_gradient(prior, h_flat, zhat_flat):
+    """Gradient of Q(. | h) at h_flat.  With z-hat from the E-step at h_flat
+    itself it is the exact score of log p(h | y, params) (Fisher's
+    identity)."""
     dev = h_flat - prior.mean
     return -prior.precision.matvec(dev) - 0.5 * (1.0 - np.exp(-h_flat) * zhat_flat)
 
@@ -221,11 +210,16 @@ def neg_q_hessian(prior, h_flat, zhat_flat):
     return prior.precision.add_diagonal(0.5 * np.exp(-h_flat) * zhat_flat)
 
 
-def em_mode(y, x, draw, h0=None, eps1=1e-4, eps2=1e-4, max_em=100, max_newton=50):
-    """Mode of p(h | y, params) by EM with Newton-Raphson M-steps.
+def em_mode(y, x, draw, h0=None, eps2=1e-4, max_em=100):
+    """Mode of p(h | y, params) by the EM gradient algorithm (Lange, 1995).
 
-    The Q objective is asserted non-decreasing across EM iterations; a
-    decrease beyond numerical tolerance raises NumericalError.
+    Each iteration runs the E-step at the current h and takes one Newton
+    step on Q, (-H_Q)^{-1} grad Q, which is an ascent direction of the exact
+    log target log p(y | h) + log p(h) because grad Q is its score there.
+    The step is halved until that target does not decrease, so the iterates
+    are monotone in the exact target; NumericalError is raised if 40 trial
+    steps find no such point.  Converged once an accepted step's norm is
+    below eps2.
     """
     y = np.asarray(y, dtype=float)
     n, r = draw.n, draw.r
@@ -236,49 +230,33 @@ def em_mode(y, x, draw, h0=None, eps1=1e-4, eps2=1e-4, max_em=100, max_newton=50
         h = np.tile(np.concatenate([draw.mu, np.zeros(r)]), (T, 1))
     else:
         h = np.array(h0, dtype=float).reshape(T, n + r)
-    h_flat = h.ravel()
-    total_newton = 0
-    q_trace = []
+
+    def log_target(hh):
+        return log_cond_likelihood(y, x, draw.beta, draw.load, hh) + log_state_prior(
+            hh, draw.mu, draw.phi, draw.sig2
+        )
+
+    target = log_target(h)
     for em_iter in range(1, max_em + 1):
-        _, _, zhat = _estep(eps, draw.load, h_flat.reshape(T, n + r), n, r)
-        z_flat = zhat.ravel()
-        q_old = _q_value(prior, h_flat, z_flat)
-        h_new, steps = _newton_max_q(prior, h_flat, z_flat, eps1, max_newton)
-        total_newton += steps
-        q_new = _q_value(prior, h_new, z_flat)
-        if q_new < q_old - 1e-8 * (1.0 + abs(q_old)):
-            raise NumericalError(
-                f"M-step decreased Q: {q_old:.10g} -> {q_new:.10g}"
-            )
-        q_trace.append((q_old, q_new))
-        delta = np.linalg.norm(h_new - h_flat)
-        h_flat = h_new
-        if delta < eps2:
-            return EmResult(h_flat.reshape(T, n + r), em_iter, total_newton, q_trace)
-    raise MaxIterationsExceededError(f"EM did not converge in {max_em} iterations")
-
-
-def _newton_max_q(prior, h_flat, z_flat, tol, max_newton):
-    h = h_flat.copy()
-    q = _q_value(prior, h, z_flat)
-    steps = 0
-    for _ in range(max_newton):
-        grad = q_gradient(prior, h, z_flat)
-        step = neg_q_hessian(prior, h, z_flat).cholesky().solve(grad)
-        # step-halving keeps Q non-decreasing within the M-step
-        scale = 1.0
+        _, _, zhat = _estep(eps, draw.load, h)
+        h_flat, z_flat = h.ravel(), zhat.ravel()
+        grad = q_gradient(prior, h_flat, z_flat)
+        neg_hq = neg_q_hessian(prior, h_flat, z_flat)
+        step = neg_hq.cholesky().solve(grad).reshape(h.shape)
         for _ in range(40):
-            h_try = h + scale * step
-            q_try = _q_value(prior, h_try, z_flat)
-            if q_try >= q - 1e-12 * (1.0 + abs(q)):
+            h_try = h + step
+            target_try = log_target(h_try)
+            if target_try >= target - 1e-12 * (1.0 + abs(target)):
                 break
-            scale *= 0.5
-        steps += 1
-        moved = np.linalg.norm(h_try - h)
-        h, q = h_try, q_try
-        if moved < tol:
-            break
-    return h, steps
+            step *= 0.5
+        else:
+            raise NumericalError(
+                f"no non-decreasing step from log target {target:.10g}"
+            )
+        h, target = h_try, target_try
+        if np.linalg.norm(step) < eps2:
+            return EmResult(h, em_iter, em_iter)
+    raise MaxIterationsExceededError(f"EM did not converge in {max_em} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +273,7 @@ def hessian_em(h_hat, draw, y, x):
     h = np.asarray(h_hat, dtype=float).reshape(T, n + r)
     eps = residuals(y, x, draw.beta)
     prior = StatePriorAssembly.build(draw.mu, draw.phi, draw.sig2, T)
-    _, kinv, zhat = _estep(eps, draw.load, h, n, r)
+    _, kinv, zhat = _estep(eps, draw.load, h)
     neg_hq = neg_q_hessian(prior, h.ravel(), zhat.ravel())
     if r == 0:
         return neg_hq
@@ -341,11 +319,13 @@ def importance_density(y, x, draw, route="em", **em_kwargs):
 
     Returns (gaussian, em_result, used_fallback): if the chosen route's
     precision fails the Cholesky test, -H_Q alone (always PD) is used and the
-    flag is set.
+    flag is set.  route is "em" (hessian_em) or "direct" (hessian_direct).
     """
+    builders = {"em": hessian_em, "direct": hessian_direct}
+    if route not in builders:
+        raise ValueError(f'route must be "em" or "direct", not {route!r}')
     em = em_mode(y, x, draw, **em_kwargs)
-    builder = hessian_em if route == "em" else hessian_direct
-    kh = builder(em.h_hat, draw, y, x)
+    kh = builders[route](em.h_hat, draw, y, x)
     fallback = False
     try:
         g = GaussianInPrecisionForm(em.h_hat.ravel(), kh)
@@ -354,7 +334,7 @@ def importance_density(y, x, draw, route="em", **em_kwargs):
         fallback = True
         eps = residuals(y, x, draw.beta)
         prior = StatePriorAssembly.build(draw.mu, draw.phi, draw.sig2, y.shape[0])
-        _, _, zhat = _estep(eps, draw.load, em.h_hat, draw.n, draw.r)
+        _, _, zhat = _estep(eps, draw.load, em.h_hat)
         g = GaussianInPrecisionForm(
             em.h_hat.ravel(), neg_q_hessian(prior, em.h_hat.ravel(), zhat.ravel())
         )

@@ -221,7 +221,7 @@ def adaptive_integrated_likelihood(y, x, draw, rng, r1_init=10, r1_cap=640,
     Family draws far out in the parameter tails can make the mode finding
     slow, so the EM cap here is higher than the stand-alone default.
     """
-    g, _, fallback = intlike.importance_density(
+    g, em, fallback = intlike.importance_density(
         y, x, draw, route=route, max_em=max_em
     )
     hs = g.sample(rng, size=r1_init)
@@ -237,9 +237,9 @@ def adaptive_integrated_likelihood(y, x, draw, rng, r1_init=10, r1_cap=640,
             [logw, intlike.importance_log_weights(y, x, draw, g, hs)]
         )
         r1 += extra
-    res = intlike.IntegratedLikelihoodResult(log_mean, se, ess, r1=r1)
-    res.kh_fallback = fallback
-    return res
+    return intlike.IntegratedLikelihoodResult(
+        log_mean, se, ess, r1=r1, kh_fallback=fallback, n_em_iters=em.n_em_iters
+    )
 
 
 @dataclass

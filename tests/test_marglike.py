@@ -175,6 +175,22 @@ class TestWeights:
         assert abs(w.mean() - 1.0) < 4 * mcse
 
 
+class TestAdaptiveIntegratedLikelihood:
+    def test_reports_em_iterations(self):
+        from varfsv import simulate
+
+        bundle = simulate.generate_dataset(
+            simulate.DgpConfig(n=3, p=1, r=1, T=30, seed=5)
+        )
+        y, x, draw = bundle.y, bundle.x, bundle.truth
+        res = marglike.adaptive_integrated_likelihood(
+            y, x, draw, np.random.default_rng(0)
+        )
+        want = intlike.em_mode(y, x, draw, max_em=2000).n_em_iters
+        assert res.n_em_iters > 0
+        assert res.n_em_iters == want
+
+
 class TestMarginalLikelihood:
     def test_conjugate_micro_model_oracle(self):
         rng = np.random.default_rng(7)
