@@ -22,12 +22,7 @@ class NonStationaryError(NumericalError):
 
 
 class TruncationFailureError(NumericalError):
-    """Sampling from a truncated normal failed; the orthant probability is
-    reported when an estimate is available."""
-
-    def __init__(self, msg, orthant_prob=None):
-        super().__init__(msg)
-        self.orthant_prob = orthant_prob
+    """Sampling from a truncated normal failed."""
 
 
 class MaxIterationsExceededError(NumericalError):

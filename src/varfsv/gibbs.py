@@ -105,9 +105,6 @@ class McmcChain:
             phi=self.phi[s], sig2=self.sig2[s],
         )
 
-    def latent_states(self, s):
-        return LatentStates(h=self.h[s], f=self.f[s])
-
     def validate_records(self, signs=None):
         for s in range(self.size):
             self.param_draw(s).validate(signs)
@@ -176,12 +173,14 @@ def sample_factors(y, x, draw, h, rng):
 
 def sample_beta_loadings(y_i, x, fmat, h_i, beta_mean_i, beta_var_i,
                          load_mean_i, load_var_i, sign_row, rng,
-                         prev_load=None, max_proposals=100):
+                         prev_load=None):
     """Joint draw of (beta_i, l_i) from the truncated normal conditional of
     equation i.  Zero-restricted loadings are excluded from the regression;
-    sign-restricted ones are drawn from their truncated Gaussian marginal
-    (minimax-tilting accept-reject, Gibbs fallback), then the VAR block from
-    its exact conditional."""
+    sign-restricted ones are drawn from their truncated Gaussian marginal,
+    then the VAR block from its exact conditional.  The marginal draw is
+    accept-reject from the untruncated marginal; when no proposal of the
+    batch lands in the sign region it is a coordinate-wise Gibbs update over
+    the region started from `prev_load`."""
     k = x.shape[1]
     r = fmat.shape[1]
     sign_row = np.asarray(sign_row)
@@ -215,24 +214,16 @@ def sample_beta_loadings(y_i, x, fmat, h_i, beta_mean_i, beta_var_i,
     cb = scipy.linalg.cho_factor(kbb, lower=True, check_finite=False)
     e = scipy.linalg.cho_solve(cb, kbl, check_finite=False)
     schur = K[k:, k:] - kbl.T @ e
-    cov_l = np.linalg.inv(schur)
     lb, ub = sign_bounds(sign_row[kept])
     l_hat = theta_hat[k:]
-    l_draw = None
-    try:
-        sampler = tmvn.TruncatedMVN(l_hat, cov_l, lb.copy(), ub.copy())
-        l_draw = sampler.sample_one(rng, max_proposals=max_proposals)
-        region_prob = sampler.log_region_prob
-    except (TruncationFailureError, np.linalg.LinAlgError):
-        region_prob = None
+    l_draw = tmvn.TruncatedMVN(l_hat, np.linalg.inv(schur), lb, ub).sample_one(rng)
     if l_draw is None:
         x0 = prev_load[kept] if prev_load is not None else _feasible_point(
             l_hat, sign_row[kept]
         )
         if not np.all((x0 > lb) & (x0 < ub)):
             raise TruncationFailureError(
-                "no feasible starting point for the loading orthant",
-                orthant_prob=region_prob,
+                "no feasible starting point for the loading orthant"
             )
         l_draw = tmvn.gibbs_sample_box(rng, l_hat, schur, lb, ub, x0)
     beta_mean_cond = theta_hat[:k] - e @ (l_draw - l_hat)

@@ -73,9 +73,6 @@ class SignMatrix:
     def is_zero(self):
         return self.codes == ZERO
 
-    def is_free(self):
-        return self.codes == FREE
-
     def permute_rows(self, perm):
         return SignMatrix(self.codes[perm.order])
 

@@ -1,22 +1,18 @@
 """Truncated multivariate normal sampling.
 
-Primary route is accept-reject with a minimax exponentially tilted sequential
-proposal (Botev's method): variables are reordered and whitened through a
-pivoted Cholesky factor, an optimal tilting vector is found by solving the
-saddle-point system of the log acceptance bound, and proposals are drawn from
-the tilted sequential density.  The acceptance bound also yields a cheap
-estimate of the truncation-region probability, used in diagnostics.
+`TruncatedMVN` is exact accept-reject from the untruncated normal: a batch of
+proposals is drawn and the first inside the box is returned.  The sign
+regions of the Gibbs sampler's loadings hold most of their conditional's
+mass, so the first proposal is nearly always inside.
 
 A coordinate-wise Gibbs kernel over the box is provided as a fallback for
-regions so improbable that accept-reject stalls; started from a feasible
-point it always returns one, at the cost of exactness per call (it is a valid
-MCMC update, which is all the posterior sampler needs).
+regions so improbable that a batch holds no accepted proposal; started from
+a feasible point it always returns one, at the cost of exactness per call
+(it is a valid MCMC update, which is all the posterior sampler needs).
 """
 
 import numpy as np
-from scipy import optimize, special
-
-from .exceptions import TruncationFailureError
+from scipy import special
 
 _SQRT2 = np.sqrt(2.0)
 _TINY = 1e-300
@@ -109,170 +105,40 @@ def _norm_reject(rng, lb, ub):
     return x
 
 
-def _cholperm(cov, lb, ub):
-    """Pivoted Cholesky reordering: at each step pick the coordinate with the
-    smallest conditional truncation probability.  Returns (L, perm) and the
-    reordered bounds in-place."""
-    d = len(lb)
-    perm = np.arange(d)
-    L = np.zeros((d, d))
-    z = np.zeros(d)
-    cov = cov.copy()
-    eps = 1e-12
-    for j in range(d):
-        pr = np.full(d, np.inf)
-        idx = np.arange(j, d)
-        s = np.diag(cov)[idx] - np.sum(L[idx, :j] ** 2, axis=1)
-        s = np.sqrt(np.maximum(s, eps))
-        tl = (lb[idx] - L[idx, :j] @ z[:j]) / s
-        tu = (ub[idx] - L[idx, :j] @ z[:j]) / s
-        pr[idx] = ln_normal_prob(tl, tu)
-        k = int(np.argmin(pr))
-        if k != j:
-            jk, kj = [j, k], [k, j]
-            cov[jk, :] = cov[kj, :]
-            cov[:, jk] = cov[:, kj]
-            L[jk, :j] = L[kj, :j]
-            lb[jk] = lb[kj]
-            ub[jk] = ub[kj]
-            perm[jk] = perm[kj]
-        s = cov[j, j] - L[j, :j] @ L[j, :j]
-        if s < -0.01:
-            raise TruncationFailureError("covariance is not positive semi-definite")
-        L[j, j] = np.sqrt(max(s, eps))
-        if j + 1 < d:
-            L[j + 1 :, j] = (cov[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-        tl = (lb[j] - L[j, :j] @ z[:j]) / L[j, j]
-        tu = (ub[j] - L[j, :j] @ z[:j]) / L[j, j]
-        w = ln_normal_prob(tl, tu)
-        z[j] = (np.exp(-0.5 * tl**2 - w) - np.exp(-0.5 * tu**2 - w)) / np.sqrt(
-            2 * np.pi
-        )
-    return L, perm
-
-
-def _gradpsi(y, L, l, u):
-    # gradient and Jacobian of the tilting saddle-point system; L is the
-    # whitened factor with zero diagonal (unit diagonal implicit)
-    d = len(u)
-    x = np.zeros(d)
-    mu = np.zeros(d)
-    x[: d - 1] = y[: d - 1]
-    mu[: d - 1] = y[d - 1 :]
-    c = np.zeros(d)
-    c[1:] = L[1:, :] @ x
-    lt = l - mu - c
-    ut = u - mu - c
-    w = ln_normal_prob(lt, ut)
-    pl = np.exp(-0.5 * lt**2 - w) / np.sqrt(2 * np.pi)
-    pu = np.exp(-0.5 * ut**2 - w) / np.sqrt(2 * np.pi)
-    P = pl - pu
-    dfdx = -mu[: d - 1] + (P @ L[:, : d - 1])
-    dfdm = mu - x + P
-    grad = np.concatenate([dfdx, dfdm[:-1]])
-    lt = np.where(np.isinf(lt), 0.0, lt)
-    ut = np.where(np.isinf(ut), 0.0, ut)
-    dP = -(P**2) + lt * pl - ut * pu
-    DL = dP[:, None] * L
-    mx = DL - np.eye(d)
-    xx = L.T @ DL
-    mx = mx[:-1, :-1]
-    xx = xx[:-1, :-1]
-    jac = np.block([[xx, mx.T], [mx, np.diag(1.0 + dP[:-1])]])
-    return grad, jac
-
-
-def _psy(x, mu, L, l, u):
-    # log of the acceptance bound at (x, mu); last tilt component is zero
-    x = np.append(x, 0.0)
-    mu = np.append(mu, 0.0)
-    c = L @ x
-    lt = l - mu - c
-    ut = u - mu - c
-    return float(np.sum(ln_normal_prob(lt, ut) + 0.5 * mu**2 - x * mu))
-
-
 class TruncatedMVN:
-    """Sampler for X ~ N(mean, cov) restricted to the box lb <= X <= ub.
+    """Accept-reject sampler for X ~ N(mean, cov) restricted to the box
+    lb < X < ub.
 
-    The tilting parameters are solved once at construction; `sample_one` then
-    runs accept-reject with the tilted sequential proposal.  `ready` is False
-    when the saddle-point solve failed, in which case callers should use the
-    Gibbs fallback.
+    Proposals come from the untruncated N(mean, cov) through a Cholesky
+    factor of `cov` taken once at construction; `ready` is False when that
+    factorization fails, in which case callers should use the Gibbs fallback.
     """
 
     def __init__(self, mean, cov, lb, ub):
         self.mean = np.asarray(mean, dtype=float)
-        self.dim = len(self.mean)
-        lb = np.asarray(lb, dtype=float) - self.mean
-        ub = np.asarray(ub, dtype=float) - self.mean
-        if np.any(ub <= lb):
+        self.lb = np.asarray(lb, dtype=float)
+        self.ub = np.asarray(ub, dtype=float)
+        if np.any(self.ub <= self.lb):
             raise ValueError("need lb < ub in every coordinate")
-        self.ready = True
-        if self.dim == 1:
-            s = np.sqrt(float(cov.reshape(())))
-            self._scale = s
-            self._lb1, self._ub1 = lb[0] / s, ub[0] / s
-            self.log_region_prob = float(ln_normal_prob(self._lb1, self._ub1))
-            return
-        L_full, perm = _cholperm(np.array(cov, dtype=float), lb, ub)
-        diag = np.diag(L_full).copy()
-        self._L_full = L_full
-        self._perm = perm
-        self._lb = lb / diag
-        self._ub = ub / diag
-        self._L = L_full / diag[:, None] - np.eye(self.dim)
-        sol = optimize.root(
-            _gradpsi,
-            np.zeros(2 * (self.dim - 1)),
-            args=(self._L, self._lb, self._ub),
-            method="hybr",
-            jac=True,
-        )
-        if not sol.success:
-            self.ready = False
-            self.log_region_prob = float(np.sum(ln_normal_prob(self._lb, self._ub)))
-            return
-        self._x = sol.x[: self.dim - 1]
-        self._mu = sol.x[self.dim - 1 :]
-        self._psistar = _psy(self._x, self._mu, self._L, self._lb, self._ub)
-        # psi* is the log of E[exp] bound; it upper-bounds log P(region)
-        self.log_region_prob = self._psistar
+        try:
+            self._chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            self._chol = None
+        self.ready = self._chol is not None
 
     def _propose(self, rng, n):
-        # sequential tilted proposals; returns (log weight, draws) in z-space
-        d = self.dim
-        mu = np.append(self._mu, 0.0)
-        z = np.zeros((d, n))
-        logpr = np.zeros(n)
-        for k in range(d):
-            col = self._L[k, :k] @ z[:k]
-            tl = self._lb[k] - mu[k] - col
-            tu = self._ub[k] - mu[k] - col
-            z[k] = mu[k] + trandn(rng, tl, tu)
-            logpr += ln_normal_prob(tl, tu) + 0.5 * mu[k] ** 2 - mu[k] * z[k]
-        return logpr, z
+        # n untruncated draws, one per row
+        z = rng.standard_normal((n, len(self.mean)))
+        return self.mean + z @ self._chol.T
 
-    def sample_one(self, rng, max_proposals=100, chunk=16):
-        """One exact draw, or None if `max_proposals` proposals were all rejected."""
-        if self.dim == 1:
-            x = trandn(rng, np.array([self._lb1]), np.array([self._ub1]))
-            return self.mean + self._scale * x
+    def sample_one(self, rng, max_proposals=100):
+        """One exact draw: the first of `max_proposals` proposals strictly
+        inside the box, or None if none is."""
         if not self.ready:
             return None
-        used = 0
-        while used < max_proposals:
-            m = min(chunk, max_proposals - used)
-            logpr, z = self._propose(rng, m)
-            accept = -np.log(rng.uniform(size=m)) > self._psistar - logpr
-            used += m
-            hits = np.flatnonzero(accept)
-            if hits.size:
-                x = self._L_full @ z[:, hits[0]]
-                out = np.empty(self.dim)
-                out[self._perm] = x
-                return self.mean + out
-        return None
+        x = self._propose(rng, max_proposals)
+        inside = np.flatnonzero(np.all((x > self.lb) & (x < self.ub), axis=1))
+        return x[inside[0]] if inside.size else None
 
 
 def gibbs_sample_box(rng, mean, precision, lb, ub, x0, sweeps=5):
