@@ -1,10 +1,11 @@
 """Six-block Gibbs sampler for the factor-SV VAR posterior.
 
 Sweep order: latent factors (joint precision sampler), VAR coefficients and
-loadings (equation by equation, truncated to the sign restrictions),
-log-volatility paths (auxiliary mixture sampler with a tridiagonal precision
-sampler), innovation variances (inverse-gamma), log-volatility means
-(normal), and AR coefficients (independence-chain Metropolis-Hastings).
+loadings (all equations in one block with one Cholesky each, loadings
+truncated to the sign restrictions), log-volatility paths (auxiliary mixture
+sampler with a tridiagonal precision sampler), innovation variances
+(inverse-gamma), log-volatility means (normal), and AR coefficients
+(independence-chain Metropolis-Hastings).
 
 Each block consumes randomness from its own spawned stream, so chain output
 is bit-reproducible from the seed and invariant to the internal ordering of
@@ -16,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from . import tmvn
 from .bandlin import BandSymMatrix, GaussianInPrecisionForm
@@ -168,80 +169,86 @@ def sample_factors(y, x, draw, h, rng):
 
 
 # ---------------------------------------------------------------------------
-# step 2: VAR coefficients and loadings, one equation
+# step 2: VAR coefficients and loadings, all equations in one block
 
 
-def sample_beta_loadings(y_i, x, fmat, h_i, beta_mean_i, beta_var_i,
-                         load_mean_i, load_var_i, sign_row, rng,
-                         prev_load=None):
-    """Joint draw of (beta_i, l_i) from the truncated normal conditional of
-    equation i.  Zero-restricted loadings are excluded from the regression;
-    sign-restricted ones are drawn from their truncated Gaussian marginal,
-    then the VAR block from its exact conditional.  The marginal draw is
-    accept-reject from the untruncated marginal; when no proposal of the
-    batch lands in the sign region it is a coordinate-wise Gibbs update over
-    the region started from `prev_load`."""
-    k = x.shape[1]
-    r = fmat.shape[1]
-    sign_row = np.asarray(sign_row)
-    kept = np.flatnonzero(sign_row != ZERO)
-    z = np.column_stack([x, fmat[:, kept]]) if kept.size else x
-    theta0 = np.concatenate([beta_mean_i, load_mean_i[kept]])
-    var0 = np.concatenate([beta_var_i, load_var_i[kept]])
-    w = np.exp(-h_i)
-    K = (z * w[:, None]).T @ z
-    K[np.diag_indices_from(K)] += 1.0 / var0
-    rhs = theta0 / var0 + z.T @ (w * y_i)
-    try:
-        ck = scipy.linalg.cho_factor(K, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"equation posterior precision not PD: {exc}") from exc
-    theta_hat = scipy.linalg.cho_solve(ck, rhs, check_finite=False)
-
-    constrained = kept[np.isin(sign_row[kept], (POS, NEG))]
-    l_full = np.zeros(r)
-    if constrained.size == 0:
-        zdraw = rng.standard_normal(k + kept.size)
-        theta = theta_hat + scipy.linalg.solve_triangular(
-            ck[0], zdraw, trans="T", lower=True, check_finite=False
-        )
-        l_full[kept] = theta[k:]
-        return theta[:k], l_full
-
-    # marginal of the loadings block: Schur complement in the precision
-    kbb = K[:k, :k]
-    kbl = K[:k, k:]
-    cb = scipy.linalg.cho_factor(kbb, lower=True, check_finite=False)
-    e = scipy.linalg.cho_solve(cb, kbl, check_finite=False)
-    schur = K[k:, k:] - kbl.T @ e
-    lb, ub = sign_bounds(sign_row[kept])
-    l_hat = theta_hat[k:]
-    l_draw = tmvn.TruncatedMVN(l_hat, np.linalg.inv(schur), lb, ub).sample_one(rng)
-    if l_draw is None:
-        x0 = prev_load[kept] if prev_load is not None else _feasible_point(
-            l_hat, sign_row[kept]
-        )
-        if not np.all((x0 > lb) & (x0 < ub)):
-            raise TruncationFailureError(
-                "no feasible starting point for the loading orthant"
-            )
-        l_draw = tmvn.gibbs_sample_box(rng, l_hat, schur, lb, ub, x0)
-    beta_mean_cond = theta_hat[:k] - e @ (l_draw - l_hat)
-    beta_i = beta_mean_cond + scipy.linalg.solve_triangular(
-        cb[0], rng.standard_normal(k), trans="T", lower=True, check_finite=False
-    )
-    l_full[kept] = l_draw
-    return beta_i, l_full
+def x_products(x):
+    """Products x_t x_t' of the regressor rows, lower triangle by rows, as a
+    (T, k(k+1)/2) array: x'Wx for any diagonal W is one product with it."""
+    il = np.tril_indices(x.shape[1])
+    return x[:, il[0]] * x[:, il[1]]
 
 
-def _feasible_point(l_hat, codes):
-    mag = np.maximum(np.abs(l_hat), 0.1)
-    out = l_hat.copy()
-    pos = codes == POS
-    neg = codes == NEG
-    out[pos] = mag[pos]
-    out[neg] = -mag[neg]
-    return out
+def sample_beta_loadings(y, x, xx, fmat, h, beta_mean, beta_var, load_mean,
+                         load_var, codes, load, rngs):
+    """Joint draw of (beta_i, l_i) for all n equations from their truncated
+    normal conditionals; returns the (n, k) coefficients and (n, r) loadings.
+
+    The lower triangles of the n posterior precisions are built together,
+    x'W_i x from one product of exp(-h) with `xx = x_products(x)`, and
+    bordered by their right-hand sides b, so one Cholesky per equation gives
+    L and, in its last row, u = L^{-1} b; a draw is theta = L'^{-1}(u + z).
+    Zero-restricted loadings are decoupled (unit precision, zero right-hand
+    side) and come out exactly 0.  Sign-restricted loadings are drawn first
+    from their marginal N(l_hat = L22'^{-1} u_l, (L22 L22')^{-1}) by
+    accept-reject, or by a box-Gibbs update from the current `load` when no
+    proposal is inside; z_l = L22'(l - l_hat) then gives beta its exact
+    conditional.  Equation i draws only from `rngs[i]`."""
+    (T, n), k, r = y.shape, x.shape[1], fmat.shape[1]
+    m = k + r
+    keep = np.concatenate([np.ones((n, k), bool), codes != ZERO], axis=1)
+    var0 = np.where(keep, np.concatenate([beta_var, load_var], axis=1), 1.0)
+    theta0 = np.where(keep, np.concatenate([beta_mean, load_mean], axis=1), 0.0)
+    w = np.exp(-h.T)
+    wy = w * y.T
+    a = np.zeros((n, m + 1, m + 1))
+    il = np.tril_indices(k)
+    a[:, il[0], il[1]] = w @ xx
+    xf = np.concatenate([x, fmat], axis=1)
+    a[:, k:m, :m] = (w @ (fmat[:, :, None] * xf[:, None, :]).reshape(T, r * m)
+                     ).reshape(n, r, m)
+    a[:, k:m, :m] *= keep[:, k:, None]
+    a[:, k:m, k:m] *= keep[:, None, k:]
+    diag = np.arange(m)
+    a[:, diag, diag] += 1.0 / var0
+    a[:, m, :m] = (wy @ xf) * keep + theta0 / var0
+    # the corner only has to exceed |u|^2 = b'K^{-1}b <= y'Wy + theta0'P theta0;
+    # twice that keeps rounding in |u|^2 from ever reaching it
+    a[:, m, m] = 2.0 * (np.sum(wy * y.T, axis=1) + np.sum(theta0**2 / var0, axis=1)) + 1.0
+
+    signed = np.any((codes == POS) | (codes == NEG), axis=1)
+    beta = np.empty((n, k))
+    out = np.zeros((n, r))
+    for i, rng in enumerate(rngs):
+        chol, info = lapack.dpotrf(a[i], lower=1)
+        if info != 0:
+            raise NumericalError(f"equation {i} posterior precision not PD")
+        fac = chol[:m, :m]
+        u = chol[m, :m]
+        kept = np.flatnonzero(keep[i, k:])
+        lk = k + kept
+        z = np.zeros(m)
+        if signed[i]:
+            l22 = fac[np.ix_(lk, lk)]
+            a22 = lapack.dtrtrs(l22, np.eye(kept.size), lower=1, trans=1)[0]
+            l_hat = a22 @ u[lk]
+            lb, ub = sign_bounds(codes[i, kept])
+            l_draw = tmvn.TruncatedMVN(l_hat, a22 @ a22.T, lb, ub).sample_one(rng)
+            if l_draw is None:
+                x0 = load[i, kept]
+                if not np.all((x0 > lb) & (x0 < ub)):
+                    raise TruncationFailureError(
+                        "no feasible starting point for the loading orthant"
+                    )
+                l_draw = tmvn.gibbs_sample_box(rng, l_hat, l22 @ l22.T, lb, ub, x0)
+            z[:k] = rng.standard_normal(k)
+            z[lk] = l22.T @ (l_draw - l_hat)
+        else:
+            z[np.flatnonzero(keep[i])] = rng.standard_normal(k + kept.size)
+        theta = lapack.dtrtrs(fac, u + z, lower=1, trans=1)[0]
+        beta[i] = theta[:k]
+        out[i, kept] = l_draw if signed[i] else theta[lk]
+    return beta, out
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +383,12 @@ def initial_values(spec, rng):
     and volatility means, zero factors, loadings of magnitude 0.1 obeying the
     signs, phi = 0.95, sig2 = 0.01."""
     n, r = spec.n, spec.r
-    load = np.zeros((n, r))
     codes = spec.signs.codes
-    mag = np.where(codes == ZERO, 0.0, 0.1)
-    direction = np.where(
-        codes == NEG, -1.0, np.where(codes == POS, 1.0, 0.0)
-    )
-    free = codes == FREE
-    direction = np.where(free, np.where(rng.uniform(size=codes.shape) < 0.5, -1.0, 1.0), direction)
-    load = mag * direction
+    flip = np.where(rng.uniform(size=codes.shape) < 0.5, -1.0, 1.0)
     draw = ParamDraw(
         beta=spec.priors.beta_mean.ravel().copy(),
-        load=load,
+        load=0.1 * np.select([codes == POS, codes == NEG, codes == FREE],
+                             [1.0, -1.0, flip], 0.0),
         mu=spec.priors.mu_mean.copy(),
         phi=np.full(n + r, 0.95),
         sig2=np.full(n + r, 0.01),
@@ -439,6 +440,7 @@ def run_chain(y, x, spec, settings, reduced_form=False):
     h = states.h.copy()
     f = states.f.copy()
     pri = spec.priors
+    xx = x_products(x)
 
     stored = settings.stored
     chain = McmcChain(
@@ -459,13 +461,10 @@ def run_chain(y, x, spec, settings, reduced_form=False):
         try:
             cur = ParamDraw(beta=beta_mat.ravel(), load=load, mu=mu, phi=phi, sig2=sig2)
             f = sample_factors(y, x, cur, h, rng_f)
-            for i in range(n):
-                beta_mat[i], load[i] = sample_beta_loadings(
-                    y[:, i], x, f, h[:, i],
-                    pri.beta_mean[i], pri.beta_var[i],
-                    pri.load_mean[i], pri.load_var[i],
-                    spec.signs.codes[i], rng_eq[i], prev_load=load[i],
-                )
+            beta_mat, load = sample_beta_loadings(
+                y, x, xx, f, h[:, :n], pri.beta_mean, pri.beta_var,
+                pri.load_mean, pri.load_var, spec.signs.codes, load, rng_eq,
+            )
             resid = residuals(y, x, beta_mat) - f @ load.T
             zmat = np.concatenate([resid, f], axis=1)
             ystar = np.log(zmat**2 + LOG_SQUARE_OFFSET)

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from varfsv import gibbs, model, simulate
-from varfsv.exceptions import ConfigError
+from varfsv.exceptions import ConfigError, NumericalError
 from varfsv.model import FREE, NEG, POS, ZERO, ModelSpec, ParamDraw, Permutation, SignMatrix
 
 
@@ -70,6 +70,16 @@ class TestSampleFactors:
         assert out.shape == (3, 0)
 
 
+def draw_equation(y, x, fmat, h, bm, bv, lm, lv, signs, load, rng, xx=None):
+    """One equation's draw through the all-equations block (n = 1)."""
+    beta, out = gibbs.sample_beta_loadings(
+        y[:, None], x, gibbs.x_products(x) if xx is None else xx, fmat,
+        h[:, None], bm[None], bv[None], lm[None], lv[None],
+        np.array([signs], dtype=np.int8), np.asarray(load, float)[None], [rng],
+    )
+    return beta[0], out[0]
+
+
 class TestSampleBetaLoadings:
     def test_unconstrained_mean_matches_posterior_mode(self):
         rng = np.random.default_rng(2)
@@ -85,11 +95,12 @@ class TestSampleBetaLoadings:
         w = np.exp(-h)
         K = (z * w[:, None]).T @ z + np.diag(1 / np.concatenate([bv, lv]))
         want = np.linalg.solve(K, z.T @ (w * y))
+        xx = gibbs.x_products(x)
         draws = np.array(
             [
                 np.concatenate(
-                    gibbs.sample_beta_loadings(
-                        y, x, fmat, h, bm, bv, lm, lv, [FREE], rng
+                    draw_equation(
+                        y, x, fmat, h, bm, bv, lm, lv, [FREE], [0.1], rng, xx
                     )
                 )
                 for _ in range(20_000)
@@ -105,13 +116,14 @@ class TestSampleBetaLoadings:
         fmat = np.zeros((T, 1))  # no data information: posterior = prior
         y = np.zeros(T)
         h = np.zeros(T)
+        xx = gibbs.x_products(x)
         draws = np.array(
             [
-                gibbs.sample_beta_loadings(
+                draw_equation(
                     y, x, fmat, h,
                     np.zeros(1), np.full(1, 1e6),  # diffuse beta prior
                     np.zeros(1), np.ones(1),       # loading prior N(0, 1)
-                    [POS], rng,
+                    [POS], [1.0], rng, xx,
                 )[1][0]
                 for _ in range(20_000)
             ]
@@ -138,12 +150,13 @@ class TestSampleBetaLoadings:
         fmat = np.zeros((T, 1))
         y = np.zeros(T)
         h = np.zeros(T)
+        xx = gibbs.x_products(x)
         load = np.array([1.0])
         draws = np.empty(10_000)
         for s in range(draws.size):
-            _, load = gibbs.sample_beta_loadings(
+            _, load = draw_equation(
                 y, x, fmat, h, np.zeros(1), np.full(1, 1e6),
-                np.full(1, -2.0), np.full(1, 0.25), [POS], rng, prev_load=load,
+                np.full(1, -2.0), np.full(1, 0.25), [POS], load, rng, xx,
             )
             draws[s] = load[0]
         assert len(fallbacks) > 0.99 * draws.size
@@ -159,11 +172,117 @@ class TestSampleBetaLoadings:
         fmat = rng.standard_normal((T, 2))
         y = rng.standard_normal(T)
         h = np.zeros(T)
-        _, load = gibbs.sample_beta_loadings(
+        _, load = draw_equation(
             y, x, fmat, h, np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
-            [ZERO, POS], rng,
+            [ZERO, POS], [0.0, 1.0], rng,
         )
         assert load[0] == 0.0 and load[1] > 0
+
+    @staticmethod
+    def _block_inputs(rng, codes, T=40, k=3):
+        n, r = codes.shape
+        x = np.column_stack([np.ones(T), rng.standard_normal((T, k - 1))])
+        fmat = rng.standard_normal((T, r))
+        y = rng.standard_normal((T, n))
+        h = 0.3 * rng.standard_normal((T, n))
+        bm = 0.1 * rng.standard_normal((n, k))
+        bv = rng.uniform(0.5, 2.0, (n, k))
+        lm = 0.1 * rng.standard_normal((n, r))
+        lv = rng.uniform(0.5, 2.0, (n, r))
+        load = np.where(codes == NEG, -0.5, np.where(codes == ZERO, 0.0, 0.5))
+        return y, x, fmat, h, bm, bv, lm, lv, load
+
+    def test_equation_permutation_permutes_rows(self):
+        # each equation's draw depends only on its own columns, priors,
+        # signs and stream, so relabelling the equations relabels the rows
+        codes = np.array(
+            [[ZERO, ZERO], [ZERO, POS], [FREE, FREE], [POS, NEG], [NEG, POS],
+             [POS, FREE]], dtype=np.int8,
+        )
+        y, x, fmat, h, bm, bv, lm, lv, load = self._block_inputs(
+            np.random.default_rng(17), codes
+        )
+        xx = gibbs.x_products(x)
+        perm = np.array([3, 0, 5, 1, 4, 2])
+
+        def run(order):
+            rngs = [np.random.default_rng(100 + i) for i in order]
+            return gibbs.sample_beta_loadings(
+                y[:, order], x, xx, fmat, h[:, order], bm[order], bv[order],
+                lm[order], lv[order], codes[order], load[order], rngs,
+            )
+
+        beta, out = run(np.arange(6))
+        beta_p, out_p = run(perm)
+        assert np.allclose(beta_p, beta[perm], rtol=0, atol=1e-10)
+        assert np.allclose(out_p, out[perm], rtol=0, atol=1e-10)
+        assert np.all(out[codes == ZERO] == 0.0)
+        assert np.all(out_p[codes[perm] == ZERO] == 0.0)
+        assert np.all(out[codes == POS] > 0) and np.all(out[codes == NEG] < 0)
+
+    def test_rows_match_dense_per_equation_draw(self):
+        # reference: each equation on its own, zero-restricted regressors
+        # dropped, dense solves; same stream, so the draws agree to rounding
+        codes = np.array(
+            [[ZERO, FREE], [FREE, FREE], [ZERO, ZERO], [POS, NEG], [ZERO, POS]],
+            dtype=np.int8,
+        )
+        y, x, fmat, h, bm, bv, lm, lv, load = self._block_inputs(
+            np.random.default_rng(20), codes
+        )
+        k = x.shape[1]
+        beta, out = gibbs.sample_beta_loadings(
+            y, x, gibbs.x_products(x), fmat, h, bm, bv, lm, lv, codes, load,
+            [np.random.default_rng(200 + i) for i in range(len(codes))],
+        )
+        for i, row in enumerate(codes):
+            rng = np.random.default_rng(200 + i)
+            kept = np.flatnonzero(row != ZERO)
+            z = np.column_stack([x, fmat[:, kept]])
+            var0 = np.concatenate([bv[i], lv[i, kept]])
+            w = np.exp(-h[:, i])
+            K = (z * w[:, None]).T @ z + np.diag(1 / var0)
+            rhs = np.concatenate([bm[i], lm[i, kept]]) / var0 + z.T @ (w * y[:, i])
+            mean = np.linalg.solve(K, rhs)
+            if np.all(row[kept] == FREE):
+                theta = mean + np.linalg.solve(
+                    np.linalg.cholesky(K).T, rng.standard_normal(k + kept.size)
+                )
+                l_draw = theta[k:]
+            else:
+                schur = K[k:, k:] - K[k:, :k] @ np.linalg.solve(K[:k, :k], K[:k, k:])
+                lb, ub = model.sign_bounds(row[kept])
+                l_draw = gibbs.tmvn.TruncatedMVN(
+                    mean[k:], np.linalg.inv(schur), lb, ub
+                ).sample_one(rng)
+                cond = mean[:k] - np.linalg.solve(K[:k, :k], K[:k, k:] @ (l_draw - mean[k:]))
+                theta = cond + np.linalg.solve(
+                    np.linalg.cholesky(K[:k, :k]).T, rng.standard_normal(k)
+                )
+            assert np.allclose(beta[i], theta[:k], rtol=0, atol=1e-10)
+            assert np.allclose(out[i, kept], l_draw, rtol=0, atol=1e-10)
+            assert np.all(out[i, row == ZERO] == 0.0)
+
+    def test_precision_not_pd_raises_numerical_error(self):
+        codes = np.array([[POS], [FREE], [NEG]], dtype=np.int8)
+        y, x, fmat, h, bm, bv, lm, lv, load = self._block_inputs(
+            np.random.default_rng(18), codes
+        )
+        bv[1, 0] = -1e-6
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        with pytest.raises(NumericalError, match="equation 1"):
+            gibbs.sample_beta_loadings(
+                y, x, gibbs.x_products(x), fmat, h, bm, bv, lm, lv, codes,
+                load, rngs,
+            )
+
+    def test_run_chain_prefixes_sweep(self):
+        rng = np.random.default_rng(19)
+        y, x, spec = tiny_spec(rng, T=25)
+        spec.priors.beta_var[1, 0] = -1e-6
+        settings = gibbs.McmcSettings(burn_in=2, draws=2, seed=1)
+        with pytest.raises(NumericalError, match=r"^sweep 0: equation 1 "):
+            gibbs.run_chain(y, x, spec, settings, reduced_form=True)
 
 
 class TestVolatilityPath:
