@@ -221,21 +221,23 @@ class GaussianInPrecisionForm:
         return self._factor
 
     def sample(self, rng, size=None):
-        """Exact draw(s): x = mean + backsolve(G', z), z ~ N(0, I).
+        """Exact draw(s) x = mean + backsolve(G', z), z ~ N(0, I), of shape
+        (dim,) for size=None, else (size, dim)."""
+        return self.sample_with_logpdf(rng, size)[0]
 
-        Returns shape (dim,) for size=None, else (size, dim).
-        """
+    def sample_with_logpdf(self, rng, size=None):
+        """`sample`'s draws, same stream use, with their log-densities, (dim,)
+        and () for size=None, else (size, dim) and (size,).  A draw is
+        mean + G'^{-1} z, so its quadratic form in the precision is ||z||^2:
+        no product with the precision is needed."""
         n = self.precision.dim
-        if size is None:
-            z = rng.standard_normal(n)
-            return self.mean + self.factor.solve_upper(z)
-        z = rng.standard_normal((n, size))
-        return (self.mean[:, None] + self.factor.solve_upper(z)).T
+        z = rng.standard_normal(n if size is None else (n, size))
+        x = self.mean + self.factor.solve_upper(z).T
+        log_norm = -0.5 * n * np.log(2.0 * np.pi) + 0.5 * self.factor.log_det
+        return x, log_norm - 0.5 * np.einsum("i...,i...->...", z, z)
 
     def logpdf(self, x):
         """Log-density at x, shape (dim,) or (..., dim)."""
-        x = np.asarray(x, dtype=float)
-        dev = x - self.mean
-        quad = self.precision.quad_form(dev)
+        quad = self.precision.quad_form(np.asarray(x, dtype=float) - self.mean)
         n = self.precision.dim
         return -0.5 * n * np.log(2.0 * np.pi) + 0.5 * self.factor.log_det - 0.5 * quad

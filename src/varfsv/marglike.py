@@ -224,18 +224,17 @@ def adaptive_integrated_likelihood(y, x, draw, rng, r1_init=10, r1_cap=640,
     g, em, fallback = intlike.importance_density(
         y, x, draw, route=route, max_em=max_em
     )
-    hs = g.sample(rng, size=r1_init)
-    logw = intlike.importance_log_weights(y, x, draw, g, hs)
+    hs, log_q = g.sample_with_logpdf(rng, r1_init)
+    logw = intlike.importance_log_weights(y, x, draw, hs, log_q)
     r1 = r1_init
     while True:
         log_mean, se, ess = intlike.log_importance_average(logw)
         if se**2 <= target_var or r1 >= r1_cap:
             break
         extra = min(r1, r1_cap - r1)
-        hs = g.sample(rng, size=extra)
-        logw = np.concatenate(
-            [logw, intlike.importance_log_weights(y, x, draw, g, hs)]
-        )
+        hs, log_q = g.sample_with_logpdf(rng, extra)
+        more = intlike.importance_log_weights(y, x, draw, hs, log_q)
+        logw = np.concatenate([logw, more])
         r1 += extra
     return intlike.IntegratedLikelihoodResult(
         log_mean, se, ess, r1=r1, kh_fallback=fallback, n_em_iters=em.n_em_iters

@@ -137,6 +137,21 @@ def test_precision_sample_deterministic_given_seed():
     assert np.array_equal(x1, x2)
 
 
+@pytest.mark.parametrize("size", [None, 1, 500])
+def test_sample_with_logpdf_matches_sample_and_logpdf(size):
+    rng = np.random.default_rng(23)
+    a = random_spd_band(rng, 30, 3)
+    g = GaussianInPrecisionForm(rng.standard_normal(30), BandSymMatrix.from_dense(a))
+    x, logq = g.sample_with_logpdf(np.random.default_rng(5), size)
+    assert np.array_equal(x, g.sample(np.random.default_rng(5), size))
+    # the stream is used as one (dim, size) block of standard normals
+    z = np.random.default_rng(5).standard_normal(30 if size is None else (30, size))
+    want = g.mean + g.factor.solve_upper(z).T
+    assert np.array_equal(x, want)
+    assert logq.shape == (() if size is None else (size,))
+    assert np.all(np.abs(logq - g.logpdf(x)) <= 1e-10 * np.abs(g.logpdf(x)))
+
+
 def test_log_density_standard_normal_at_zero():
     g = GaussianInPrecisionForm(np.zeros(1), BandSymMatrix(np.ones((1, 1))))
     assert g.logpdf(np.zeros(1)) == pytest.approx(-0.5 * np.log(2 * np.pi))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
 from varfsv import gibbs, intlike
@@ -109,6 +111,23 @@ class TestStatePrior:
 
 
 class TestCondLikelihood:
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_factor_precision_matches_per_period_formula(self, r):
+        rng = np.random.default_rng(2)
+        y, x, draw = make_problem(rng, n=3, r=r, T=4)
+        eps = intlike.residuals(y, x, draw.beta)
+        h = 0.5 * rng.standard_normal((2, 4, 3 + r))  # one leading batch axis
+        K, b, ehy = intlike.factor_precision(eps, draw.load, h)
+        assert K.shape == (2, 4, r, r) and b.shape == (2, 4, r)
+        for i in range(2):
+            for t in range(4):
+                sinv = np.diag(np.exp(-h[i, t, :3]))
+                want = draw.load.T @ sinv @ draw.load + np.diag(np.exp(-h[i, t, 3:]))
+                assert np.allclose(K[i, t], want, rtol=1e-12, atol=1e-12)
+                want = draw.load.T @ sinv @ eps[t]
+                assert np.allclose(b[i, t], want, rtol=1e-12, atol=1e-12)
+                assert np.array_equal(ehy[i, t], np.diag(sinv))
+
     def test_zero_loadings_zero_h_is_standard_normal(self):
         rng = np.random.default_rng(3)
         y, x, draw = make_problem(rng, n=2, T=5, load_scale=0.0)
@@ -281,13 +300,15 @@ class TestHessians:
                     )
         return H
 
-    def test_hessian_direct_matches_finite_differences(self):
+    @pytest.mark.parametrize("n, r, T", [(2, 1, 3), (3, 2, 3), (4, 1, 3), (2, 0, 4)])
+    def test_hessian_direct_matches_finite_differences(self, n, r, T):
+        # off the mode, where the exact Hessian and -H_Q differ most
         rng = np.random.default_rng(11)
-        y, x, draw = make_problem(rng, n=2, r=1, T=3)
-        h0 = (0.4 * rng.standard_normal((3, 3))).ravel()
+        y, x, draw = make_problem(rng, n=n, r=r, T=T)
+        h0 = (0.4 * rng.standard_normal((T, n + r))).ravel()
 
         def log_target(hflat):
-            hc = hflat.reshape(3, 3)
+            hc = hflat.reshape(T, n + r)
             return intlike.log_cond_likelihood(
                 y, x, draw.beta, draw.load, hc
             ) + intlike.log_state_prior(hc, draw.mu, draw.phi, draw.sig2)
@@ -388,8 +409,8 @@ class TestIntegratedLikelihood:
         rng = np.random.default_rng(19)
         y, x, draw = make_problem(rng, n=3, p=1, r=1, T=5)
         g, em, _ = intlike.importance_density(y, x, draw)
-        hs = g.sample(np.random.default_rng(3), size=64)
-        base = intlike.integrated_likelihood_from_draws(y, x, draw, g, hs)
+        hs, log_q = g.sample_with_logpdf(np.random.default_rng(3), 64)
+        base = intlike.integrated_likelihood_from_draws(y, x, draw, hs, log_q)
 
         perm = Permutation([2, 0, 1])
         states = LatentStates(h=em.h_hat, f=np.zeros((5, 1)))
@@ -400,9 +421,34 @@ class TestIntegratedLikelihood:
         assert np.allclose(emp.h_hat[:, :3], em.h_hat[:, perm.order], atol=1e-8)
         hp = hs.reshape(64, 5, 4).copy()
         hp[:, :, :3] = hp[:, :, perm.order]
-        got = intlike.integrated_likelihood_from_draws(
-            yp, xp, dp, gp, hp.reshape(64, -1)
-        )
+        hp = hp.reshape(64, -1)
+        got = intlike.integrated_likelihood_from_draws(yp, xp, dp, hp, gp.logpdf(hp))
+        assert got.log_value == pytest.approx(base.log_value, abs=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4), st.integers(0, 1), st.sampled_from(["em", "direct"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_order_invariance_property(self, n, r, route, pyrandom):
+        # reordering the variables moves the importance density covariantly,
+        # so under common random numbers the estimate must not change
+        rng = np.random.default_rng(pyrandom.getrandbits(32))
+        T = 5
+        y, x, draw = make_problem(rng, n=n, p=1, r=r, T=T)
+        perm = Permutation(rng.permutation(n))
+        g, em, _ = intlike.importance_density(y, x, draw, route=route)
+        hs, log_q = g.sample_with_logpdf(rng, 64)
+        base = intlike.integrated_likelihood_from_draws(y, x, draw, hs, log_q)
+
+        states = LatentStates(h=em.h_hat, f=np.zeros((T, r)))
+        dp, _ = permute_model(draw, states, 1, perm)
+        yp, xp = permute_data(y, x, 1, perm)
+        gp, _, _ = intlike.importance_density(yp, xp, dp, route=route)
+        hp = hs.reshape(64, T, n + r).copy()
+        hp[:, :, :n] = hp[:, :, perm.order]
+        hp = hp.reshape(64, -1)
+        got = intlike.integrated_likelihood_from_draws(yp, xp, dp, hp, gp.logpdf(hp))
         assert got.log_value == pytest.approx(base.log_value, abs=1e-8)
 
     @pytest.mark.parametrize("route", ["EM", "dense", None])
