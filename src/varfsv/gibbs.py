@@ -5,7 +5,9 @@ loadings (all equations in one block with one Cholesky each, loadings
 truncated to the sign restrictions), log-volatility paths (auxiliary mixture
 sampler with a tridiagonal precision sampler), innovation variances
 (inverse-gamma), log-volatility means (normal), and AR coefficients
-(independence-chain Metropolis-Hastings).
+(independence-chain Metropolis-Hastings).  The SV parameters of different
+series are conditionally independent given the paths, so each of the last
+three steps draws all series at once.
 
 Each block consumes randomness from its own spawned stream, so chain output
 is bit-reproducible from the seed and invariant to the internal ordering of
@@ -301,77 +303,63 @@ def _series_major_prior(phi, sig2, T):
     )
 
 
-def sample_volatility_path(z, mu, phi, sig2, rng, h_current=None, scans=1):
-    """Draw of a single series' log-volatility path given the series whose
-    conditional variance is exp(h_t).
-
-    Inside the posterior sampler this is one Gibbs scan from `h_current`
-    (indicators from their exact conditional, then the path jointly).  For
-    stand-alone use leave `h_current=None`: the scan is iterated `scans`
-    times from a flat start, which with enough scans yields a draw from the
-    path posterior under the mixture measurement model.
-    """
-    z = np.asarray(z, dtype=float)
-    ystar = np.log(z**2 + LOG_SQUARE_OFFSET)
-    h = np.full(len(z), mu) if h_current is None else np.asarray(h_current, float)
-    if h_current is None and scans == 1:
-        scans = 20
-    for _ in range(scans):
-        h = _stacked_sv_draw(
-            ystar[:, None], h[:, None], np.array([mu]), np.array([phi]),
-            np.array([sig2]), rng,
-        )[:, 0]
-    return h
-
-
 # ---------------------------------------------------------------------------
 # steps 4-6: SV parameters
 
 
-def sample_sigma2(h_i, mu_i, phi_i, shape0, scale0, rng):
-    """Inverse-gamma conditional for one series' innovation variance."""
-    dev = h_i - mu_i
-    ssq = (1.0 - phi_i**2) * dev[0] ** 2
-    if len(dev) > 1:
-        ssq += np.sum((dev[1:] - phi_i * dev[:-1]) ** 2)
-    shape = shape0 + len(h_i) / 2.0
-    scale = scale0 + ssq / 2.0
-    return scale / rng.gamma(shape)
+def _by_series(h):
+    """The (T, d) paths as contiguous (d, T) rows (a (T,) path as it is), so
+    every sum over time is the same pairwise sum for one series or many."""
+    return np.ascontiguousarray(np.transpose(h))
 
 
-def sample_mu(h_i, phi_i, sig2_i, mu0, v_mu, rng):
-    """Normal conditional for one idiosyncratic series' log-volatility mean."""
-    T = len(h_i)
-    prec = 1.0 / v_mu + ((1.0 - phi_i**2) + (T - 1) * (1.0 - phi_i) ** 2) / sig2_i
+def sample_sigma2(h, mu, phi, shape0, scale0, rng):
+    """Inverse-gamma conditionals of the innovation variances, one draw per
+    column of the (T, d) paths `h` for all series at once, taken from `rng`
+    in column order; a (T,) path with scalar parameters gives one draw."""
+    dev = _by_series(h - mu)
+    ssq = (1.0 - phi**2) * dev[..., 0] ** 2 + np.sum(
+        (dev[..., 1:] - np.expand_dims(phi, -1) * dev[..., :-1]) ** 2, axis=-1
+    )
+    return (scale0 + ssq / 2.0) / rng.gamma(shape0 + len(h) / 2.0)
+
+
+def sample_mu(h, phi, sig2, mu0, v_mu, rng):
+    """Normal conditionals of the idiosyncratic log-volatility means, one
+    draw per column of the (T, d) paths `h` for all series at once, taken
+    from `rng` in column order."""
+    hs = _by_series(h)
+    T = hs.shape[-1]
+    prec = 1.0 / v_mu + ((1.0 - phi**2) + (T - 1) * (1.0 - phi) ** 2) / sig2
     num = mu0 / v_mu + (
-        (1.0 - phi_i**2) * h_i[0]
-        + (1.0 - phi_i) * np.sum(h_i[1:] - phi_i * h_i[:-1])
-    ) / sig2_i
-    return num / prec + rng.standard_normal() / np.sqrt(prec)
+        (1.0 - phi**2) * hs[..., 0]
+        + (1.0 - phi)
+        * np.sum(hs[..., 1:] - np.expand_dims(phi, -1) * hs[..., :-1], axis=-1)
+    ) / sig2
+    return num / prec + rng.standard_normal(np.shape(prec)) / np.sqrt(prec)
 
 
 def _log_g_phi(phi, h1_dev, sig2):
     return 0.5 * np.log1p(-(phi**2)) - (1.0 - phi**2) * h1_dev**2 / (2.0 * sig2)
 
 
-def sample_phi(h_i, mu_i, sig2_i, phi0, v_phi, phi_cur, rng):
-    """Independence-chain MH update of one AR coefficient; returns
-    (new value, accepted flag)."""
-    dev = h_i - mu_i
-    ssx = np.sum(dev[:-1] ** 2)
-    sxy = np.sum(dev[:-1] * dev[1:])
-    prec = 1.0 / v_phi + ssx / sig2_i
-    mean = (phi0 / v_phi + sxy / sig2_i) / prec
+def sample_phi(h, mu, sig2, phi0, v_phi, phi_cur, rng):
+    """Independence-chain MH updates of the AR coefficients, one per column
+    of the (T, d) paths `h` for all series at once: the truncated-normal
+    proposals of every series are drawn from `rng`, then one uniform each.
+    Returns (new values, accepted flags)."""
+    dev = _by_series(h - mu)
+    ssx = np.sum(dev[..., :-1] ** 2, axis=-1)
+    sxy = np.sum(dev[..., :-1] * dev[..., 1:], axis=-1)
+    prec = 1.0 / v_phi + ssx / sig2
+    mean = (phi0 / v_phi + sxy / sig2) / prec
     sd = 1.0 / np.sqrt(prec)
-    prop = mean + sd * tmvn.trandn(
-        rng, np.array([(-1.0 - mean) / sd]), np.array([(1.0 - mean) / sd])
-    )[0]
-    log_ratio = _log_g_phi(prop, dev[0], sig2_i) - _log_g_phi(
-        phi_cur, dev[0], sig2_i
+    prop = mean + sd * tmvn.trandn(rng, (-1.0 - mean) / sd, (1.0 - mean) / sd)
+    log_ratio = _log_g_phi(prop, dev[..., 0], sig2) - _log_g_phi(
+        phi_cur, dev[..., 0], sig2
     )
-    if np.log(rng.uniform()) < min(0.0, log_ratio):
-        return prop, True
-    return phi_cur, False
+    ok = np.log(rng.uniform(size=np.shape(prop))) < log_ratio
+    return np.where(ok, prop, phi_cur), ok
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +420,8 @@ def run_chain(y, x, spec, settings, reduced_form=False):
     rng_eq = [np.random.default_rng(s) for s in streams[5:]]
 
     draw, states = initial_values(spec, rng_init)
-    beta_mat = draw.beta_matrix().copy()
-    load = draw.load.copy()
-    mu = draw.mu.copy()
-    phi = draw.phi.copy()
-    sig2 = draw.sig2.copy()
-    h = states.h.copy()
-    f = states.f.copy()
+    beta_mat, load, h = draw.beta_matrix(), draw.load, states.h
+    mu, phi, sig2 = draw.mu, draw.phi, draw.sig2
     pri = spec.priors
     xx = x_products(x)
 
@@ -468,25 +451,17 @@ def run_chain(y, x, spec, settings, reduced_form=False):
             resid = residuals(y, x, beta_mat) - f @ load.T
             zmat = np.concatenate([resid, f], axis=1)
             ystar = np.log(zmat**2 + LOG_SQUARE_OFFSET)
-            mean_full[:n] = mu
             h = _stacked_sv_draw(ystar, h, mean_full, phi, sig2, rng_h)
-            for i in range(d):
-                m_i = mu[i] if i < n else 0.0
-                sig2[i] = sample_sigma2(
-                    h[:, i], m_i, phi[i], pri.sig2_shape[i], pri.sig2_scale[i], rng_sv
-                )
-            for i in range(n):
-                mu[i] = sample_mu(
-                    h[:, i], phi[i], sig2[i], pri.mu_mean[i], pri.mu_var[i], rng_sv
-                )
-            for i in range(d):
-                m_i = mu[i] if i < n else 0.0
-                phi[i], ok = sample_phi(
-                    h[:, i], m_i, sig2[i], pri.phi_mean[i], pri.phi_var[i],
-                    phi[i], rng_phi,
-                )
-                if sweep >= settings.burn_in:
-                    accept[i] += ok
+            sig2 = sample_sigma2(
+                h, mean_full, phi, pri.sig2_shape, pri.sig2_scale, rng_sv
+            )
+            mu = sample_mu(h[:, :n], phi[:n], sig2[:n], pri.mu_mean, pri.mu_var, rng_sv)
+            mean_full[:n] = mu
+            phi, ok = sample_phi(
+                h, mean_full, sig2, pri.phi_mean, pri.phi_var, phi, rng_phi
+            )
+            if sweep >= settings.burn_in:
+                accept += ok
         except NumericalError as exc:
             raise NumericalError(f"sweep {sweep}: {exc}") from exc
         post = sweep - settings.burn_in

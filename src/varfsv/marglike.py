@@ -247,12 +247,12 @@ class MarginalLikelihoodResult:
     se: float
     ess: float
     r2: int
+    log_weights: np.ndarray  # (R2,) log importance weights
     r1_history: list = field(default_factory=list)
-    log_weights: np.ndarray = None
 
 
 def marginal_likelihood(y, x, spec, chain, r2, rng, r1_init=10, r1_cap=640,
-                        target_var=1.0, route="em", keep_weights=False):
+                        target_var=1.0, route="em"):
     """Importance-sampling estimate of the log marginal likelihood: R2 draws
     from the fitted family, each weighted by estimated integrated likelihood
     times prior over family density."""
@@ -289,7 +289,7 @@ def marginal_likelihood(y, x, spec, chain, r2, rng, r1_init=10, r1_cap=640,
         )
     return MarginalLikelihoodResult(
         log_value=log_mean, se=se, ess=ess, r2=r2, r1_history=r1_history,
-        log_weights=logw if keep_weights else None,
+        log_weights=logw,
     )
 
 

@@ -16,6 +16,9 @@ from scipy import special
 
 _SQRT2 = np.sqrt(2.0)
 _TINY = 1e-300
+# central intervals wider than this are drawn by plain normal rejection,
+# narrower ones by inverting the normal cdf
+_WIDE_INTERVAL = 2.0
 
 
 def _ln_phi_tail(x):
@@ -80,9 +83,9 @@ def _norm_tail(rng, lb, ub):
     return np.sqrt(2.0 * x)
 
 
-def _norm_center(rng, lb, ub, switch=2.0):
+def _norm_center(rng, lb, ub):
     x = np.empty(lb.shape)
-    wide = np.abs(ub - lb) > switch
+    wide = np.abs(ub - lb) > _WIDE_INTERVAL
     if np.any(wide):
         x[wide] = _norm_reject(rng, lb[wide], ub[wide])
     narrow = ~wide

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from varfsv import gibbs, model, simulate
@@ -14,6 +16,18 @@ def tiny_spec(rng, n=2, p=1, r=1, T=20, signs=None):
     signs = signs if signs is not None else SignMatrix.all_free(n, r)
     spec = ModelSpec(n=n, p=p, r=r, T=T, priors=priors, signs=signs)
     return y, x, spec
+
+
+def volatility_scans(z, h, mu, phi, sig2, rng, scans):
+    """`scans` volatility-block scans of the single series z from the path h,
+    through the stacked sampler with (T, 1) inputs."""
+    ystar = np.log(z**2 + gibbs.LOG_SQUARE_OFFSET)[:, None]
+    h = h[:, None]
+    for _ in range(scans):
+        h = gibbs._stacked_sv_draw(
+            ystar, h, np.array([mu]), np.array([phi]), np.array([sig2]), rng
+        )
+    return h[:, 0]
 
 
 class TestSampleFactors:
@@ -297,7 +311,7 @@ class TestVolatilityPath:
     def test_degenerate_state_equation_collapses_to_mean(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal(50)
-        h = gibbs.sample_volatility_path(z, mu=-1.3, phi=0.0, sig2=1e-10, rng=rng)
+        h = volatility_scans(z, np.full(50, -1.3), -1.3, 0.0, 1e-10, rng, scans=20)
         assert np.max(np.abs(h - (-1.3))) < 1e-3
 
     def test_path_recovery_correlation(self):
@@ -309,10 +323,10 @@ class TestVolatilityPath:
         for t in range(1, T):
             h_true[t] = phi * h_true[t - 1] + sig * rng.standard_normal()
         z = np.exp(h_true / 2) * rng.standard_normal(T)
-        h = gibbs.sample_volatility_path(z, 0.0, phi, sig2, rng)
+        h = volatility_scans(z, np.zeros(T), 0.0, phi, sig2, rng, scans=20)
         total = np.zeros(T)
         for _ in range(150):
-            h = gibbs.sample_volatility_path(z, 0.0, phi, sig2, rng, h_current=h)
+            h = volatility_scans(z, h, 0.0, phi, sig2, rng, scans=1)
             total += h
         corr = np.corrcoef(total / 150, h_true)[0, 1]
         assert corr >= 0.9
@@ -344,20 +358,19 @@ class TestVolatilityPath:
         want = np.array([(H1 * w).sum(), (H2 * w).sum()]) / w.sum()
 
         rng = np.random.default_rng(0)
-        h = gibbs.sample_volatility_path(z, mu_i, phi_i, sig2_i, rng)
+        h = volatility_scans(z, np.full(2, mu_i), mu_i, phi_i, sig2_i, rng, scans=20)
         draws = np.empty((40_000, 2))
         for i in range(len(draws)):
-            h = gibbs.sample_volatility_path(
-                z, mu_i, phi_i, sig2_i, rng, h_current=h
-            )
+            h = volatility_scans(z, h, mu_i, phi_i, sig2_i, rng, scans=1)
             draws[i] = h
         mcse = draws.std(axis=0) / np.sqrt(len(draws) / 8)  # autocorrelation slack
         assert np.all(np.abs(draws.mean(axis=0) - want) < 4 * mcse + 0.01)
 
     def test_same_inputs_same_seed_same_path(self):
         z = np.random.default_rng(7).standard_normal(40)
-        h1 = gibbs.sample_volatility_path(z, -1.0, 0.9, 0.05, np.random.default_rng(42))
-        h2 = gibbs.sample_volatility_path(z, -1.0, 0.9, 0.05, np.random.default_rng(42))
+        h0 = np.full(40, -1.0)
+        h1 = volatility_scans(z, h0, -1.0, 0.9, 0.05, np.random.default_rng(42), scans=20)
+        h2 = volatility_scans(z, h0, -1.0, 0.9, 0.05, np.random.default_rng(42), scans=20)
         assert np.array_equal(h1, h2)
 
 
@@ -430,6 +443,68 @@ class TestSvParameterSteps:
             phi, _ = gibbs.sample_phi(h, 0.0, 0.05, 0.95, 0.01, phi, rng)
             assert abs(phi) < 1
 
+    def test_batched_sigma2_mu_match_column_by_column_stream(self):
+        # one call on the (T, d) paths draws the columns in order from the
+        # stream, bit for bit as d one-column calls do
+        rng = np.random.default_rng(20)
+        T, d = 30, 5
+        h = rng.standard_normal((T, d)) * 0.5 - 1.0
+        mu = rng.normal(-1.0, 0.3, d)
+        phi = rng.uniform(0.2, 0.95, d)
+        sig2 = rng.uniform(0.02, 0.2, d)
+        shape0, scale0 = rng.uniform(3.0, 6.0, d), rng.uniform(0.02, 0.1, d)
+        mu0, vmu = rng.normal(-1.0, 1.0, d), rng.uniform(1.0, 10.0, d)
+        batch = np.random.default_rng(21)
+        s2 = gibbs.sample_sigma2(h, mu, phi, shape0, scale0, batch)
+        m = gibbs.sample_mu(h, phi, sig2, mu0, vmu, batch)
+        cols = np.random.default_rng(21)
+        s2_cols = [
+            gibbs.sample_sigma2(h[:, i], mu[i], phi[i], shape0[i], scale0[i], cols)
+            for i in range(d)
+        ]
+        m_cols = [
+            gibbs.sample_mu(h[:, i], phi[i], sig2[i], mu0[i], vmu[i], cols)
+            for i in range(d)
+        ]
+        assert np.array_equal(s2, s2_cols)
+        assert np.array_equal(m, m_cols)
+
+    def test_batched_phi_matches_grid_conditional(self):
+        # three series with different conditionals advanced together; the
+        # target is the N(phi0, v_phi) prior on (-1, 1) times the AR(1)
+        # density of the path, stationary first term included
+        rng = np.random.default_rng(22)
+        T = 25
+        mu = np.array([0.0, -1.0, 0.5])
+        sig2 = np.array([0.05, 0.2, 0.5])
+        phi0 = np.array([0.95, 0.5, 0.0])
+        vphi = np.array([0.01, 0.25, 1.0])
+        h = np.empty((T, 3))
+        h[0] = mu
+        for t in range(1, T):
+            h[t] = mu + np.array([0.9, 0.6, -0.2]) * (h[t - 1] - mu) + np.sqrt(
+                sig2
+            ) * rng.standard_normal(3)
+        grid = np.linspace(-1.0, 1.0, 20_001)[1:-1]
+        want = np.empty(3)
+        for i in range(3):
+            dev = h[:, i] - mu[i]
+            logp = -0.5 * (grid - phi0[i]) ** 2 / vphi[i]
+            logp += 0.5 * np.log1p(-(grid**2)) - (1 - grid**2) * dev[0] ** 2 / (
+                2 * sig2[i]
+            )
+            innov = dev[1:, None] - grid * dev[:-1, None]
+            logp -= 0.5 * np.sum(innov**2, axis=0) / sig2[i]
+            w = np.exp(logp - logp.max())
+            want[i] = np.sum(grid * w) / np.sum(w)
+        phi = phi0.copy()
+        draws = np.empty((40_000, 3))
+        for j in range(len(draws)):
+            phi, _ = gibbs.sample_phi(h, mu, sig2, phi0, vphi, phi, rng)
+            draws[j] = phi
+        mcse = draws.std(axis=0) / np.sqrt(len(draws) / 8)  # autocorrelation slack
+        assert np.all(np.abs(draws.mean(axis=0) - want) < 4 * mcse)
+
 
 class TestRunChain:
     def test_zero_draws_rejected(self):
@@ -464,6 +539,47 @@ class TestRunChain:
         assert np.all(chain.load[:, 0, 0] > 0) and np.all(chain.load[:, 1, 0] < 0)
         assert chain.phi_accept.shape == (4,)
         assert np.all(chain.phi_accept >= 0) and np.all(chain.phi_accept <= 1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        shape=st.sampled_from([(3, 1), (3, 2), (4, 1), (4, 2)]),
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stored_draws_respect_random_sign_patterns(self, shape, data, seed):
+        n, r = shape
+        codes = data.draw(
+            st.lists(st.sampled_from([POS, NEG, ZERO, FREE]), min_size=n * r,
+                     max_size=n * r)
+        )
+        signs = SignMatrix(np.array(codes, dtype=np.int8).reshape(n, r))
+        y, x, spec = tiny_spec(np.random.default_rng(seed), n=n, r=r, signs=signs)
+        mcmc = gibbs.McmcSettings(burn_in=2, draws=4, seed=seed)
+        chain = gibbs.run_chain(y, x, spec, mcmc, reduced_form=True)
+        assert chain.validate_records(signs)
+        assert np.all(np.abs(chain.phi) < 1) and np.all(chain.sig2 > 0)
+
+    def test_phi_step_sees_the_new_means(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        y, x, spec = tiny_spec(rng, n=3, T=25)
+        drawn, seen = [], []
+        sample_mu, sample_phi = gibbs.sample_mu, gibbs.sample_phi
+
+        def record_mu(*args):
+            drawn.append(sample_mu(*args))
+            return drawn[-1]
+
+        def record_phi(h, mu, *args):
+            seen.append(np.array(mu))
+            return sample_phi(h, mu, *args)
+
+        monkeypatch.setattr(gibbs, "sample_mu", record_mu)
+        monkeypatch.setattr(gibbs, "sample_phi", record_phi)
+        settings = gibbs.McmcSettings(burn_in=2, draws=3, seed=4)
+        gibbs.run_chain(y, x, spec, settings, reduced_form=True)
+        assert len(seen) == len(drawn) == 5
+        for mu, means in zip(drawn, seen):
+            assert np.array_equal(means, np.concatenate([mu, [0.0]]))
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(16)

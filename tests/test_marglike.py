@@ -232,6 +232,8 @@ class TestMarginalLikelihood:
         )
         assert a.log_value == b.log_value
         assert a.r1_history == b.r1_history
+        assert a.log_weights.shape == (20,)
+        assert np.array_equal(a.log_weights, b.log_weights)
 
     def test_r1_adaptation_bounded(self):
         rng = np.random.default_rng(9)
