@@ -13,7 +13,8 @@ time and O(dim * bandwidth) in memory - no dense dim x dim array is ever
 allocated.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -207,18 +208,15 @@ class GaussianInPrecisionForm:
 
     mean: np.ndarray
     precision: BandSymMatrix
-    _factor: BandCholeskyFactor = field(default=None, repr=False)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         if self.mean.shape != (self.precision.dim,):
             raise DimensionMismatchError("mean length does not match precision dim")
 
-    @property
+    @cached_property
     def factor(self):
-        if self._factor is None:
-            self._factor = self.precision.cholesky()
-        return self._factor
+        return self.precision.cholesky()
 
     def sample(self, rng, size=None):
         """Exact draw(s) x = mean + backsolve(G', z), z ~ N(0, I), of shape

@@ -1,6 +1,6 @@
 """Six-block Gibbs sampler for the factor-SV VAR posterior.
 
-Sweep order: latent factors (joint precision sampler), VAR coefficients and
+Sweep order: latent factors (one Cholesky per period), VAR coefficients and
 loadings (all equations in one block with one Cholesky each, loadings
 truncated to the sign restrictions), log-volatility paths (auxiliary mixture
 sampler with a tridiagonal precision sampler), innovation variances
@@ -22,9 +22,9 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import tmvn
-from .bandlin import BandSymMatrix, GaussianInPrecisionForm
+from .bandlin import BandSymMatrix
 from .exceptions import ConfigError, NumericalError, TruncationFailureError
-from .intlike import ar1_precision_diagonals, factor_precision, residuals
+from .intlike import ar1_precision_diagonals, factor_precision, residuals, tri_solve
 from .model import (
     FREE,
     NEG,
@@ -46,6 +46,8 @@ _MIX_MEAN = (
     - 1.2704
 )
 _MIX_VAR = np.array([5.79596, 2.61369, 5.17950, 0.16735, 0.64009, 0.34023, 1.26261])
+# the part of each component's log-density that does not depend on the data
+_MIX_LOG_NORM = np.log(_MIX_PROB) - 0.5 * np.log(2 * np.pi * _MIX_VAR)
 
 LOG_SQUARE_OFFSET = 1e-4  # c in log(z^2 + c)
 
@@ -158,16 +160,11 @@ class McmcChain:
 
 def sample_factors(y, x, draw, h, rng):
     """Joint draw of all factor paths from N(f-hat, K_f^{-1}); K_f is block
-    diagonal over time, assembled as one band matrix so a single banded
-    factorization covers the whole path."""
-    r = draw.r
-    T = y.shape[0]
-    if r == 0:
-        return np.zeros((T, 0))
-    K, b, _ = factor_precision(residuals(y, x, draw.beta), draw.load, h)
-    fhat = np.linalg.solve(K, b[..., None])[..., 0]
-    gauss = GaussianInPrecisionForm(fhat.ravel(), BandSymMatrix.from_blocks(K))
-    return gauss.sample(rng).reshape(T, r)
+    diagonal over time, so with K_t = C_t C_t' a draw is
+    f_t = C_t'^{-1} (u_t + z_t), u_t = C_t^{-1} b_t, with the T*r standard
+    normals z taken time-major."""
+    c, u, _ = factor_precision(residuals(y, x, draw.beta), draw.load, h)
+    return tri_solve(c, u + rng.standard_normal(u.shape), trans=True)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +257,7 @@ def sample_beta_loadings(y, x, xx, fmat, h, beta_mean, beta_var, load_mean,
 def _mixture_indicators(ystar, h, rng):
     """Posterior draw of the mixture component for each (t, series) cell."""
     dev = ystar[..., None] - h[..., None] - _MIX_MEAN  # (..., 7)
-    logp = (
-        np.log(_MIX_PROB)
-        - 0.5 * np.log(2 * np.pi * _MIX_VAR)
-        - 0.5 * dev**2 / _MIX_VAR
-    )
+    logp = _MIX_LOG_NORM - 0.5 * dev**2 / _MIX_VAR
     logp -= logp.max(axis=-1, keepdims=True)
     prob = np.exp(logp)
     prob /= prob.sum(axis=-1, keepdims=True)
@@ -288,9 +281,7 @@ def _stacked_sv_draw(ystar, h_current, means, phi, sig2, rng):
     rhs = prior.matvec(prior_mean) + obs_prec * obs
     factor = post.cholesky()
     mean = factor.solve(rhs)
-    gauss = GaussianInPrecisionForm(mean, post)
-    gauss._factor = factor
-    return gauss.sample(rng).reshape(d, T).T
+    return (mean + factor.solve_upper(rng.standard_normal(d * T))).reshape(d, T).T
 
 
 def _series_major_prior(phi, sig2, T):

@@ -12,8 +12,12 @@ decomposition with only part of the missing information (the default).
 
 Throughout, `h` is stored (T, n+r) with the idiosyncratic block first;
 stacked vectors interleave time-major, matching the banded state precision.
-The factor-block precision and the AR(1) prior diagonals defined here are
-the only copies in the package; the Gibbs sampler uses them too.
+The factors enter only through the per-period precision K_t, which
+`factor_precision` builds and factors once by Cholesky, K_t = C_t C_t'; the
+likelihood, the E-step, both Hessians and the Gibbs factor draw all work from
+C_t and u_t = C_t^{-1} b_t by triangular substitution (`tri_solve`).  These
+and the AR(1) prior diagonals defined here are the only copies in the
+package; the Gibbs sampler uses them too.
 """
 
 from dataclasses import dataclass
@@ -40,12 +44,16 @@ def residuals(y, x, beta):
 
 
 def factor_precision(eps, load, h):
-    """Per-period precision and linear term of the factors given the data:
-    K_t = L' Sigma_t^{-1} L + Omega_t^{-1} and b_t = L' Sigma_t^{-1} eps_t,
-    so f_t | y_t, h_t ~ N(K_t^{-1} b_t, K_t^{-1}).
+    """Factors of the per-period precision of the factors given the data,
+    K_t = L' Sigma_t^{-1} L + Omega_t^{-1}, with b_t = L' Sigma_t^{-1} eps_t,
+    so f_t | y_t, h_t ~ N(K_t^{-1} b_t, K_t^{-1}).  The only factorization of
+    K_t in the package.
 
-    h is (..., T, n+r) with any leading batch axes; returns K (..., T, r, r),
-    b (..., T, r) and Sigma_t^{-1} = exp(-h_y) as (..., T, n).
+    h is (..., T, n+r) with any leading batch axes; returns the lower
+    Cholesky factor C (..., T, r, r) with C C' = K, u = C^{-1} b (..., T, r)
+    and Sigma_t^{-1} = exp(-h_y) as (..., T, n).  Then log det K_t is
+    2 sum log diag C_t, b_t' K_t^{-1} b_t = |u_t|^2, the conditional mean of
+    f_t is C_t'^{-1} u_t and a draw is C_t'^{-1} (u_t + z_t).
     """
     n, r = load.shape
     ehy = np.exp(-h[..., :n])
@@ -54,7 +62,28 @@ def factor_precision(eps, load, h):
         ehy.shape[:-1] + (r, r)
     )
     K[..., np.arange(r), np.arange(r)] += np.exp(-h[..., n:])
-    return K, (ehy * eps) @ load, ehy
+    try:
+        c = np.linalg.cholesky(K)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("factor-block precision not PD") from exc
+    return c, tri_solve(c, (ehy * eps) @ load), ehy
+
+
+def tri_solve(c, b, trans=False):
+    """x with C x = b, or C' x = b if `trans`, for lower-triangular C of shape
+    (..., r, r): r vectorised substitution steps over the leading axes.  b is
+    a vector right-hand side (..., r) or a matrix one (..., r, k) carrying
+    C's leading axes."""
+    vec = b.ndim == c.ndim - 1
+    x = np.array(b[..., None] if vec else b, dtype=float)
+    r = c.shape[-1]
+    for i in range(r - 1, -1, -1) if trans else range(r):
+        # the solved entries: j > i of column i of C for C', j < i of row i
+        done = slice(i + 1, None) if trans else slice(None, i)
+        coef = c[..., done, i] if trans else c[..., i, done]
+        x[..., i, :] -= np.sum(coef[..., None] * x[..., done, :], axis=-2)
+        x[..., i, :] /= c[..., i, i, None]
+    return x[..., 0] if vec else x
 
 
 # ---------------------------------------------------------------------------
@@ -145,34 +174,25 @@ def log_cond_likelihood(y, x, beta, load, h):
 
     h may be (T, n+r) or batched (R, T, n+r); returns scalar or (R,).
     The diagonal-plus-low-rank covariance is handled through the Woodbury
-    identity and the matrix determinant lemma, which are exact for every
-    (n, r), r = 0 included.
+    identity and the matrix determinant lemma on the Cholesky factor of the
+    factor precision K_t, which are exact for every (n, r), r = 0 included.
     """
-    y = np.asarray(y, dtype=float)
     load = np.atleast_2d(np.asarray(load, dtype=float))
-    eps = residuals(y, x, beta)
+    eps = residuals(np.asarray(y, dtype=float), x, beta)
     h = np.asarray(h, dtype=float)
-    batched = h.ndim == 3
-    hh = h if batched else h[None]
-    out = _log_cond_batch(eps, load, hh)
-    return out if batched else float(out[0])
+    out = _log_cond_from_factors(eps, h, *factor_precision(eps, load, h))
+    return out if h.ndim == 3 else float(out)
 
 
-def _log_cond_batch(eps, load, h):
+def _log_cond_from_factors(eps, h, c, u, ehy):
+    """`log_cond_likelihood` from `factor_precision(eps, load, h)`: the log
+    det of the covariance is sum h + log det K_t and its quadratic form is
+    eps' Sigma^{-1} eps - |u|^2, summed over the last two axes."""
     T, n = eps.shape
-    hy = h[:, :, :n]
-    hf = h[:, :, n:]
-    K, b, ehy = factor_precision(eps, load, h)
-    try:
-        ck = np.linalg.cholesky(K)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("factor-block matrix not PD") from exc
-    logdet = np.sum(hy, axis=(1, 2)) + np.sum(hf, axis=(1, 2)) + 2.0 * np.sum(
-        np.log(np.diagonal(ck, axis1=-2, axis2=-1)), axis=(1, 2)
+    logdet = np.sum(h, axis=(-2, -1)) + 2.0 * np.sum(
+        np.log(np.diagonal(c, axis1=-2, axis2=-1)), axis=(-2, -1)
     )
-    quad = np.sum(eps**2 * ehy, axis=(1, 2)) - np.sum(
-        b * np.linalg.solve(K, b[..., None])[..., 0], axis=(1, 2)
-    )
+    quad = np.sum(eps**2 * ehy, axis=(-2, -1)) - np.sum(u**2, axis=(-2, -1))
     return -0.5 * T * n * _LOG2PI - 0.5 * logdet - 0.5 * quad
 
 
@@ -187,16 +207,19 @@ class EmResult:
     n_newton_steps: int  # one per iteration
 
 
-def _estep(eps, load, h):
-    """Conditional factor moments and the per-coordinate quadratic weights
-    z-hat entering the Q function (h is (T, n+r), load (n, r))."""
-    K, b, _ = factor_precision(eps, load, h)
-    fhat = np.linalg.solve(K, b[..., None])[..., 0]
-    kinv = np.linalg.inv(K)
-    resid = eps - fhat @ load.T
-    zy = resid**2 + np.einsum("nj,tjk,nk->tn", load, kinv, load)
-    zf = fhat**2 + np.diagonal(kinv, axis1=1, axis2=2)
-    return fhat, kinv, np.concatenate([zy, zf], axis=1)
+def _estep(eps, load, c, u):
+    """E-step from `factor_precision`'s C and u at the current h.  Per
+    period, u_t = (eps_t - L f_t, f_t) given y and h has mean
+    m = (eps - L f-hat, f-hat), with f-hat = C'^{-1} u, and covariance a'a =
+    W K^{-1} W' for a = C^{-1} W' and W = [-L; I].  Returns m (T, n+r),
+    a (T, r, n+r) and the per-coordinate quadratic weights
+    z-hat = m^2 + diag(a'a) entering the Q function."""
+    T, r = u.shape
+    fhat = tri_solve(c, u, trans=True)
+    m = np.concatenate([eps - fhat @ load.T, fhat], axis=1)
+    wt = np.concatenate([-load.T, np.eye(r)], axis=1)  # W', (r, n+r)
+    a = tri_solve(c, np.broadcast_to(wt, (T,) + wt.shape))
+    return m, a, m**2 + np.sum(a**2, axis=1)
 
 
 def q_gradient(prior, h_flat, zhat_flat):
@@ -233,21 +256,23 @@ def em_mode(y, x, draw, h0=None, eps2=1e-4, max_em=100):
     else:
         h = np.array(h0, dtype=float).reshape(T, n + r)
 
-    def log_target(hh):
-        return log_cond_likelihood(y, x, draw.beta, draw.load, hh) + log_state_prior(
-            hh, draw.mu, draw.phi, draw.sig2
-        )
+    def evaluate(hh):
+        # the exact log target and the factors of K it was computed from,
+        # which the next E-step reuses once hh is accepted
+        fp = factor_precision(eps, draw.load, hh)
+        lp = log_state_prior(hh, draw.mu, draw.phi, draw.sig2)
+        return _log_cond_from_factors(eps, hh, *fp) + lp, fp
 
-    target = log_target(h)
+    target, fp = evaluate(h)
     for em_iter in range(1, max_em + 1):
-        _, _, zhat = _estep(eps, draw.load, h)
+        _, _, zhat = _estep(eps, draw.load, *fp[:2])
         h_flat, z_flat = h.ravel(), zhat.ravel()
         grad = q_gradient(prior, h_flat, z_flat)
         neg_hq = neg_q_hessian(prior, h_flat, z_flat)
         step = neg_hq.cholesky().solve(grad).reshape(h.shape)
         for _ in range(40):
             h_try = h + step
-            target_try = log_target(h_try)
+            target_try, fp_try = evaluate(h_try)
             if target_try >= target - 1e-12 * (1.0 + abs(target)):
                 break
             step *= 0.5
@@ -255,7 +280,7 @@ def em_mode(y, x, draw, h0=None, eps2=1e-4, max_em=100):
             raise NumericalError(
                 f"no non-decreasing step from log target {target:.10g}"
             )
-        h, target = h_try, target_try
+        h, target, fp = h_try, target_try, fp_try
         if np.linalg.norm(step) < eps2:
             return EmResult(h, em_iter, em_iter)
     raise MaxIterationsExceededError(f"EM did not converge in {max_em} iterations")
@@ -266,29 +291,29 @@ def em_mode(y, x, draw, h0=None, eps2=1e-4, max_em=100):
 
 
 def _estep_neg_q_hessian(h_hat, draw, y, x):
-    """The E-step at h_hat and -H_Q there: (h, eps, f-hat, K^{-1}, -H_Q)."""
+    """The E-step at h_hat and -H_Q there: (h, m, a, -H_Q), m and a as
+    returned by `_estep`."""
     T = np.asarray(y).shape[0]
     h = np.asarray(h_hat, dtype=float).reshape(T, draw.n + draw.r)
     eps = residuals(np.asarray(y, dtype=float), x, draw.beta)
     prior = StatePriorAssembly.build(draw.mu, draw.phi, draw.sig2, T)
-    fhat, kinv, zhat = _estep(eps, draw.load, h)
-    return h, eps, fhat, kinv, neg_q_hessian(prior, h.ravel(), zhat.ravel())
+    c, u, _ = factor_precision(eps, draw.load, h)
+    m, a, zhat = _estep(eps, draw.load, c, u)
+    return h, m, a, neg_q_hessian(prior, h.ravel(), zhat.ravel())
 
 
 def hessian_em(h_hat, draw, y, x):
     """Negative Hessian at the mode from the EM identity
     log p(h | .) = Q(h|h) + H(h|h), keeping only part of the missing
-    information: the C^2 term, without the conditional-mean term and with the
-    idiosyncratic-factor block of C signed as if W were [L; I].  It is not the
-    exact Hessian (`hessian_direct` is; at (n,r,T) = (20,3,200) its log det
-    runs 56-60 nats above the exact one) and need not be positive definite;
+    information: the C^2 term, without the conditional-mean term (C = a'a
+    from `_estep`; the sign of W does not enter C^2).  It is not the exact
+    Hessian (`hessian_direct` is; at (n,r,T) = (20,3,200) its log det runs
+    56-60 nats above the exact one) and need not be positive definite;
     `importance_density` falls back to -H_Q when its Cholesky fails."""
-    h, _, _, kinv, neg_hq = _estep_neg_q_hessian(h_hat, draw, y, x)
+    h, _, a, neg_hq = _estep_neg_q_hessian(h_hat, draw, y, x)
     if draw.r == 0:
         return neg_hq
-    w = np.vstack([draw.load, np.eye(draw.r)])  # (n+r, r)
-    c = np.einsum("dj,tjk,ek->tde", w, kinv, w)
-    z = np.exp(-h)[:, :, None] * c
+    z = np.exp(-h)[:, :, None] * (a.transpose(0, 2, 1) @ a)
     neg_hh = 0.5 * z.transpose(0, 2, 1) * (np.eye(h.shape[1]) - z)
     return band_add(neg_hq, BandSymMatrix.from_blocks(neg_hh))
 
@@ -297,18 +322,17 @@ def hessian_direct(h_hat, draw, y, x):
     """Exact negative Hessian of log p(y|h) + log p(h) at any h, from Louis's
     identity (Louis, 1982): -H_Q minus the covariance of the complete-data
     score given y and h.  Per period, u = (eps - L f, f) has conditional mean
-    m = (eps - L f-hat, f-hat) and covariance C = W K^{-1} W' with W = [-L; I],
-    so that covariance is 1/4 e^{-h_i-h_j} (2 C_ij^2 + 4 m_i m_j C_ij); with
-    r = 0, C = 0 and -H_Q alone is exact.  Banded (the state precision plus
-    one block per period) but not guaranteed positive definite away from the
+    m = (eps - L f-hat, f-hat) and covariance C = W K^{-1} W' = a'a with
+    W = [-L; I], both from `_estep` on the Cholesky factor of K, so that
+    covariance is 1/4 e^{-h_i-h_j} (2 C_ij^2 + 4 m_i m_j C_ij); with r = 0,
+    C = 0 and -H_Q alone is exact.  Banded (the state precision plus one
+    block per period) but not guaranteed positive definite away from the
     mode."""
-    h, eps, fhat, kinv, neg_hq = _estep_neg_q_hessian(h_hat, draw, y, x)
-    w = np.vstack([-draw.load, np.eye(draw.r)])  # (n+r, r)
-    c = w @ kinv @ w.T  # (T, n+r, n+r)
-    m = np.hstack([eps - fhat @ draw.load.T, fhat])
-    a = np.exp(-h)
+    h, m, a, neg_hq = _estep_neg_q_hessian(h_hat, draw, y, x)
+    c = a.transpose(0, 2, 1) @ a  # (T, n+r, n+r)
+    e = np.exp(-h)
     mm = m[:, :, None] * m[:, None, :]
-    score_cov = a[:, :, None] * a[:, None, :] * c * (0.5 * c + mm)
+    score_cov = e[:, :, None] * e[:, None, :] * c * (0.5 * c + mm)
     return band_add(neg_hq, BandSymMatrix.from_blocks(-score_cov))
 
 

@@ -108,7 +108,6 @@ def _parse_sign_cell(cell):
 class ValidationReport:
     passed: bool
     problems: list = field(default_factory=list)
-    margin: float = None
 
     def __bool__(self):
         return self.passed
@@ -398,9 +397,6 @@ class Permutation:
         inv[self.order] = np.arange(self.n)
         return Permutation(inv)
 
-    def matrix(self):
-        return np.eye(self.n)[self.order]
-
 
 def permute_model(draw, states, p, perm):
     """Covariant transformation of a parameter draw and latent states under a
@@ -450,76 +446,3 @@ def build_lagged(raw, p):
     for lag in range(1, p + 1):
         x[:, 1 + (lag - 1) * n : 1 + lag * n] = raw[p - lag : t_raw - lag]
     return raw[p:].copy(), x
-
-
-def check_loadings_rank_heuristic(loadings, tol=1e-8):
-    """Advisory numerical check of the separability condition: after deleting
-    any one row, two disjoint r-row blocks should each have full rank.
-
-    Exhaustive over block choices when cheap, greedy otherwise; reports the
-    worst margin (smallest singular value across the best block pair found).
-    """
-    L = np.asarray(loadings, dtype=float)
-    n, r = L.shape
-    if r == 0:
-        return ValidationReport(True, [], margin=np.inf)
-    if n < 2 * r + 1:
-        return ValidationReport(False, [f"need n >= 2r+1 rows (n={n}, r={r})"])
-    worst = np.inf
-    problems = []
-    for drop in range(n):
-        rows = [i for i in range(n) if i != drop]
-        margin = _best_disjoint_block_margin(L, rows, r)
-        if margin < worst:
-            worst = margin
-        if margin <= tol:
-            problems.append(
-                f"deleting row {drop}: no disjoint full-rank blocks "
-                f"(best margin {margin:.2e})"
-            )
-    return ValidationReport(passed=not problems, problems=problems, margin=worst)
-
-
-def _sigma_min(block):
-    return np.linalg.svd(block, compute_uv=False)[-1]
-
-
-def _best_disjoint_block_margin(L, rows, r):
-    m = len(rows)
-    if m < 2 * r:
-        return 0.0
-    n_combos = 1
-    for i in range(r):
-        n_combos = n_combos * (m - i) // (i + 1)
-    if n_combos <= 200:
-        best = 0.0
-        for combo in itertools.combinations(rows, r):
-            s1 = _sigma_min(L[list(combo)])
-            if s1 <= best:
-                continue
-            rest = [i for i in rows if i not in combo]
-            s2 = _greedy_block(L, rest, r)
-            best = max(best, min(s1, s2))
-        return best
-    first = _greedy_block_rows(L, rows, r)
-    s1 = _sigma_min(L[first])
-    rest = [i for i in rows if i not in set(first)]
-    s2 = _greedy_block(L, rest, r)
-    return min(s1, s2)
-
-
-def _greedy_block_rows(L, rows, r):
-    chosen = []
-    remaining = list(rows)
-    for _ in range(r):
-        best_row, best_val = None, -1.0
-        for i in remaining:
-            val = _sigma_min(L[chosen + [i]])
-            if val > best_val:
-                best_val, best_row = val, i
-        chosen.append(best_row)
-        remaining.remove(best_row)
-    return chosen
-
-def _greedy_block(L, rows, r):
-    return _sigma_min(L[_greedy_block_rows(L, rows, r)])

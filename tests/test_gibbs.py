@@ -72,6 +72,31 @@ class TestSampleFactors:
         assert abs(draws.mean() - mean) < 3 * mcse
         assert draws.var() == pytest.approx(1.0 / prec, rel=0.06)
 
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_draw_uses_time_major_normals(self, r):
+        # f_t = K_t^{-1} b_t + chol(K_t)'^{-1} z_t, z the (T, r) normals of
+        # an identically seeded generator
+        rng = np.random.default_rng(4)
+        T, n = 5, 4
+        draw = ParamDraw(
+            beta=0.2 * rng.standard_normal(n * (n + 1)),
+            load=rng.standard_normal((n, r)), mu=np.zeros(n),
+            phi=np.full(n + r, 0.5), sig2=np.full(n + r, 0.1),
+        )
+        y = rng.standard_normal((T, n))
+        x = np.column_stack([np.ones(T), rng.standard_normal((T, n))])
+        h = 0.5 * rng.standard_normal((T, n + r))
+        got = gibbs.sample_factors(y, x, draw, h, np.random.default_rng(7))
+        z = np.random.default_rng(7).standard_normal((T, r))
+        eps = y - x @ draw.beta_matrix().T
+        for t in range(T):
+            sinv = np.diag(np.exp(-h[t, :n]))
+            k = draw.load.T @ sinv @ draw.load + np.diag(np.exp(-h[t, n:]))
+            b = draw.load.T @ sinv @ eps[t]
+            noise = np.linalg.solve(np.linalg.cholesky(k).T, z[t])
+            want = np.linalg.solve(k, b) + noise
+            assert np.allclose(got[t], want, rtol=0, atol=1e-12)
+
     def test_r0_returns_empty(self):
         draw = ParamDraw(
             beta=np.zeros(6), load=np.zeros((2, 0)), mu=np.zeros(2),

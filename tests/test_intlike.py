@@ -8,6 +8,7 @@ from varfsv import gibbs, intlike
 from varfsv.exceptions import (
     MaxIterationsExceededError,
     NonStationaryError,
+    NotPositiveDefiniteError,
     NumericalError,
 )
 from varfsv.model import LatentStates, ParamDraw, Permutation, permute_data, permute_model
@@ -117,16 +118,49 @@ class TestCondLikelihood:
         y, x, draw = make_problem(rng, n=3, r=r, T=4)
         eps = intlike.residuals(y, x, draw.beta)
         h = 0.5 * rng.standard_normal((2, 4, 3 + r))  # one leading batch axis
-        K, b, ehy = intlike.factor_precision(eps, draw.load, h)
-        assert K.shape == (2, 4, r, r) and b.shape == (2, 4, r)
+        c, u, ehy = intlike.factor_precision(eps, draw.load, h)
+        assert c.shape == (2, 4, r, r) and u.shape == (2, 4, r)
         for i in range(2):
             for t in range(4):
                 sinv = np.diag(np.exp(-h[i, t, :3]))
                 want = draw.load.T @ sinv @ draw.load + np.diag(np.exp(-h[i, t, 3:]))
-                assert np.allclose(K[i, t], want, rtol=1e-12, atol=1e-12)
+                assert np.allclose(c[i, t] @ c[i, t].T, want, rtol=1e-12, atol=1e-12)
+                assert np.array_equal(c[i, t], np.tril(c[i, t]))
                 want = draw.load.T @ sinv @ eps[t]
-                assert np.allclose(b[i, t], want, rtol=1e-12, atol=1e-12)
+                assert np.allclose(c[i, t] @ u[i, t], want, rtol=1e-12, atol=1e-12)
                 assert np.array_equal(ehy[i, t], np.diag(sinv))
+
+    def test_non_pd_factor_precision_raises_typed_error(self):
+        # exp(-h) underflows to 0, so K_t = 0: every path through K_t's
+        # factor raises the package's error, not numpy's
+        rng = np.random.default_rng(4)
+        y, x, draw = make_problem(rng, n=2, r=1, T=3)
+        h = np.full((3, 3), 800.0)
+        with pytest.raises(NotPositiveDefiniteError):
+            intlike.log_cond_likelihood(y, x, draw.beta, draw.load, h)
+        for hessian in (intlike.hessian_em, intlike.hessian_direct):
+            with pytest.raises(NotPositiveDefiniteError):
+                hessian(h, draw, y, x)
+        with pytest.raises(NotPositiveDefiniteError):
+            gibbs.sample_factors(y, x, draw, h, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4), st.integers(0, 2), st.sampled_from([None, 1, 3]),
+        st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    def test_tri_solve_matches_dense_solve(self, r, n_lead, k, trans, seed):
+        rng = np.random.default_rng(seed)
+        lead = tuple(rng.integers(1, 4, size=n_lead))
+        a = rng.standard_normal(lead + (r, r))
+        c = np.linalg.cholesky(a @ np.swapaxes(a, -1, -2) + np.eye(r))
+        b = rng.standard_normal(lead + (r,) + (() if k is None else (k,)))
+        x = intlike.tri_solve(c, b, trans=trans)
+        m = np.swapaxes(c, -1, -2) if trans else c
+        want = np.linalg.solve(m, b[..., None] if k is None else b).reshape(b.shape)
+        assert x.shape == b.shape
+        scale = max(1.0, np.abs(want).max(initial=0.0))
+        assert np.allclose(x, want, rtol=1e-10, atol=1e-10 * scale)
 
     def test_zero_loadings_zero_h_is_standard_normal(self):
         rng = np.random.default_rng(3)
@@ -219,7 +253,8 @@ class TestEmMode:
         eps = intlike.residuals(y, x, draw.beta)
         prior = intlike.StatePriorAssembly.build(draw.mu, draw.phi, draw.sig2, 3)
         h = rng.standard_normal((3, 3)) * 0.5
-        _, _, zhat = intlike._estep(eps, draw.load, h)
+        c, u, _ = intlike.factor_precision(eps, draw.load, h)
+        _, _, zhat = intlike._estep(eps, draw.load, c, u)
         hf = h.ravel()
         grad = intlike.q_gradient(prior, hf, zhat.ravel())
 
@@ -262,6 +297,24 @@ class TestEmMode:
         start = np.tile(np.concatenate([draw.mu, np.zeros(r)]), T)
         sol = optimize.minimize(neg_target, start, method="BFGS", tol=1e-12)
         assert np.allclose(res.h_hat.ravel(), sol.x, atol=2e-4)
+
+    def test_accepted_point_factors_reused(self, monkeypatch):
+        # each trial point is factored once, for the target; the next E-step
+        # reuses the factors of the accepted one
+        rng = np.random.default_rng(23)
+        y, x, draw = make_problem(rng, n=3, r=2, T=6)
+        calls = {"factor_precision": 0, "log_state_prior": 0}
+        for name in calls:
+            fn = getattr(intlike, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(intlike, name, counted)
+        res = intlike.em_mode(y, x, draw)
+        assert res.n_em_iters > 1
+        assert calls["factor_precision"] == calls["log_state_prior"]
 
     def test_failed_line_search_and_iteration_cap_raise(self, monkeypatch):
         rng = np.random.default_rng(21)

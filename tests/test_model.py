@@ -167,29 +167,6 @@ class TestPermutation:
         assert np.array_equal(x1, x2)
 
 
-class TestRankHeuristic:
-    def test_zero_column_fails(self):
-        L = np.random.default_rng(0).standard_normal((7, 3))
-        L[:, 1] = 0.0
-        assert not m.check_loadings_rank_heuristic(L).passed
-
-    def test_random_gaussian_passes(self):
-        L = np.random.default_rng(1).standard_normal((7, 3))
-        rep = m.check_loadings_rank_heuristic(L)
-        assert rep.passed
-        assert rep.margin > 1e-6
-
-    def test_proportional_columns_fail(self):
-        L = np.random.default_rng(2).standard_normal((7, 3))
-        L[:, 2] = 2.0 * L[:, 0]
-        assert not m.check_loadings_rank_heuristic(L).passed
-
-    def test_too_few_rows_reported(self):
-        L = np.random.default_rng(3).standard_normal((5, 3))
-        rep = m.check_loadings_rank_heuristic(L)
-        assert not rep.passed and "2r+1" in rep.problems[0]
-
-
 class TestTypes:
     def test_modelspec_warns_when_r_large(self):
         priors = m.default_priors(np.random.default_rng(0).standard_normal((40, 4)), 4, 1, 2)
