@@ -1,7 +1,7 @@
 """Order-invariant Bayesian VARs with factor stochastic volatility.
 
-Subpackages
------------
+Modules
+-------
 bandlin     banded symmetric linear algebra and precision-form Gaussians
 model       model/prior types, sign-restriction validation, permutations
 tmvn        truncated multivariate normal sampling

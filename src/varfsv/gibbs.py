@@ -454,7 +454,7 @@ def run_chain(y, x, spec, settings, reduced_form=False):
             if sweep >= settings.burn_in:
                 accept += ok
         except NumericalError as exc:
-            raise NumericalError(f"sweep {sweep}: {exc}") from exc
+            raise type(exc)(f"sweep {sweep}: {exc}") from exc
         post = sweep - settings.burn_in
         if post >= 0 and post % settings.thin == 0:
             chain.beta[slot] = beta_mat.ravel()

@@ -34,6 +34,7 @@ from .exceptions import (
 )
 
 _LOG2PI = np.log(2.0 * np.pi)
+_EM_TOL = 1e-4  # EM stops once an accepted step's norm is below this
 
 
 def residuals(y, x, beta):
@@ -235,7 +236,7 @@ def neg_q_hessian(prior, h_flat, zhat_flat):
     return prior.precision.add_diagonal(0.5 * np.exp(-h_flat) * zhat_flat)
 
 
-def em_mode(y, x, draw, h0=None, eps2=1e-4, max_em=100):
+def em_mode(y, x, draw, h0=None, max_em=100):
     """Mode of p(h | y, params) by the EM gradient algorithm (Lange, 1995).
 
     Each iteration runs the E-step at the current h and takes one Newton
@@ -244,7 +245,7 @@ def em_mode(y, x, draw, h0=None, eps2=1e-4, max_em=100):
     The step is halved until that target does not decrease, so the iterates
     are monotone in the exact target; NumericalError is raised if 40 trial
     steps find no such point.  Converged once an accepted step's norm is
-    below eps2.
+    below `_EM_TOL`.
     """
     y = np.asarray(y, dtype=float)
     n, r = draw.n, draw.r
@@ -281,7 +282,7 @@ def em_mode(y, x, draw, h0=None, eps2=1e-4, max_em=100):
                 f"no non-decreasing step from log target {target:.10g}"
             )
         h, target, fp = h_try, target_try, fp_try
-        if np.linalg.norm(step) < eps2:
+        if np.linalg.norm(step) < _EM_TOL:
             return EmResult(h, em_iter, em_iter)
     raise MaxIterationsExceededError(f"EM did not converge in {max_em} iterations")
 
@@ -340,17 +341,18 @@ def hessian_direct(h_hat, draw, y, x):
 # importance density and the likelihood estimator
 
 
-def importance_density(y, x, draw, route="em", **em_kwargs):
+def importance_density(y, x, draw, route="em", max_em=100):
     """Gaussian N(h-hat, K_h^{-1}) approximation of p(h | y, params).
 
     Returns (gaussian, em_result, used_fallback): if the chosen route's
     precision fails the Cholesky test, -H_Q alone (always PD) is used and the
-    flag is set.  route is "em" (hessian_em) or "direct" (hessian_direct).
+    flag is set.  route is "em" (hessian_em) or "direct" (hessian_direct);
+    `max_em` caps the EM iterations of the mode finding.
     """
     builders = {"em": hessian_em, "direct": hessian_direct}
     if route not in builders:
         raise ValueError(f'route must be "em" or "direct", not {route!r}')
-    em = em_mode(y, x, draw, **em_kwargs)
+    em = em_mode(y, x, draw, max_em=max_em)
     kh = builders[route](em.h_hat, draw, y, x)
     fallback = False
     try:

@@ -30,6 +30,13 @@ from .model import ZERO, ModelSpec, ParamDraw, SignMatrix, sign_bounds
 
 _LOG2PI = np.log(2.0 * np.pi)
 _VAR_FLOOR = 1e-10
+_IG_TOL = 1e-12  # |score| at which the inverse-gamma shape Newton stops
+_IG_MAX_ITER = 100
+_R1_INIT = 10  # first inner simulation size of the adaptive estimate
+_TARGET_VAR = 1.0  # variance of the log estimate the inner size aims for
+# Family draws far out in the parameter tails can make the mode finding
+# slow, so the EM cap here is higher than the stand-alone default.
+_EM_CAP = 2000
 
 
 @dataclass
@@ -57,7 +64,7 @@ class CeFamilyParams:
     phi_var: np.ndarray
 
 
-def fit_invgamma(x, tol=1e-12, max_iter=100):
+def fit_invgamma(x):
     """Maximum-likelihood inverse-gamma fit: moment-matched start, then
     Newton on the profile likelihood in the shape."""
     x = np.asarray(x, dtype=float)
@@ -66,7 +73,7 @@ def fit_invgamma(x, tol=1e-12, max_iter=100):
     m, v = x.mean(), x.var()
     shape = 2.0 + m**2 / v if v > 1e-30 else 1e8
     shape = min(max(shape, 1.01), 1e8)
-    for _ in range(max_iter):
+    for _ in range(_IG_MAX_ITER):
         f = np.log(shape) - special.digamma(shape) - b
         fp = 1.0 / shape - special.polygamma(1, shape)
         step = f / fp
@@ -74,7 +81,7 @@ def fit_invgamma(x, tol=1e-12, max_iter=100):
         if new <= 0:
             new = shape / 2.0
         shape = min(new, 1e8)
-        if abs(f) < tol:
+        if abs(f) < _IG_TOL:
             break
     return shape, shape / mean_inv
 
@@ -100,11 +107,11 @@ def _fit_equation_gaussians(beta_draws, n, k):
     return means, chols
 
 
-def fit_ce_family(chain, signs):
+def fit_ce_family(chain):
     """Blockwise fit of the importance family to the stored posterior draws
     (maximum likelihood except for the truncated blocks; see the module
-    docstring).  Loadings restricted to ZERO by `signs` are 0 in every draw
-    and are never sampled, so their fitted entries are not used."""
+    docstring).  Loadings restricted to ZERO are 0 in every draw and are
+    never sampled, so their fitted entries are not used."""
     if chain.size < 30:
         raise InsufficientDrawsError(
             f"need at least 30 posterior draws, have {chain.size}"
@@ -213,23 +220,17 @@ def log_prior(draw, spec):
     return float(total + _loading_sv_logpdf(draw, pri, spec.signs.codes))
 
 
-def adaptive_integrated_likelihood(y, x, draw, rng, r1_init=10, r1_cap=640,
-                                   target_var=1.0, route="em", max_em=2000):
+def adaptive_integrated_likelihood(y, x, draw, rng, r1_cap=640):
     """Integrated-likelihood estimate with the inner simulation size doubled
-    until the variance of the log estimate is at most `target_var`.
-
-    Family draws far out in the parameter tails can make the mode finding
-    slow, so the EM cap here is higher than the stand-alone default.
-    """
-    g, em, fallback = intlike.importance_density(
-        y, x, draw, route=route, max_em=max_em
-    )
-    hs, log_q = g.sample_with_logpdf(rng, r1_init)
+    from `_R1_INIT` until the variance of the log estimate is at most
+    `_TARGET_VAR` or the size reaches `r1_cap`."""
+    g, em, fallback = intlike.importance_density(y, x, draw, max_em=_EM_CAP)
+    hs, log_q = g.sample_with_logpdf(rng, _R1_INIT)
     logw = intlike.importance_log_weights(y, x, draw, hs, log_q)
-    r1 = r1_init
+    r1 = _R1_INIT
     while True:
         log_mean, se, ess = intlike.log_importance_average(logw)
-        if se**2 <= target_var or r1 >= r1_cap:
+        if se**2 <= _TARGET_VAR or r1 >= r1_cap:
             break
         extra = min(r1, r1_cap - r1)
         hs, log_q = g.sample_with_logpdf(rng, extra)
@@ -251,23 +252,19 @@ class MarginalLikelihoodResult:
     r1_history: list = field(default_factory=list)
 
 
-def marginal_likelihood(y, x, spec, chain, r2, rng, r1_init=10, r1_cap=640,
-                        target_var=1.0, route="em"):
+def marginal_likelihood(y, x, spec, chain, r2, rng, r1_cap=640):
     """Importance-sampling estimate of the log marginal likelihood: R2 draws
     from the fitted family, each weighted by estimated integrated likelihood
     times prior over family density."""
     if chain.size == 0:
         raise InsufficientDrawsError("chain is empty")
-    fam = fit_ce_family(chain, spec.signs)
+    fam = fit_ce_family(chain)
     # columns: log integrated likelihood, log prior, log family density
     parts = np.empty((r2, 3))
     r1_history = []
     for j in range(r2):
         draw = sample_from_family(fam, spec.signs, rng)
-        li = adaptive_integrated_likelihood(
-            y, x, draw, rng, r1_init=r1_init, r1_cap=r1_cap,
-            target_var=target_var, route=route,
-        )
+        li = adaptive_integrated_likelihood(y, x, draw, rng, r1_cap=r1_cap)
         r1_history.append(li.r1)
         parts[j] = (
             li.log_value, log_prior(draw, spec),
@@ -332,13 +329,14 @@ def reduced_form_spec(spec, r):
         )
 
 
-def select_factor_count(y, x, spec_builder, candidates, settings, r2, seed,
-                        reduced_form=True, r1_cap=640, route="em"):
+def select_factor_count(y, x, spec_builder, candidates, settings, r2, seed):
     """Chain plus marginal likelihood per candidate factor count; returns
     rows ranked by log marginal likelihood with ties toward smaller r.
     A candidate fails, and is recorded as a row rather than raised, when the
     caller's `spec_builder` raises anything or when estimation raises a
-    `VarFsvError`; any other error from the package propagates."""
+    `VarFsvError`; any other error from the package propagates.  Chains run
+    with `reduced_form=True`, so candidate specs need not point-identify
+    the loadings."""
     from .gibbs import run_chain
 
     if not candidates:
@@ -351,13 +349,11 @@ def select_factor_count(y, x, spec_builder, candidates, settings, r2, seed,
             rows.append(FactorCountRow(r=r, error=f"{type(exc).__name__}: {exc}"))
             continue
         try:
-            chain = run_chain(y, x, spec_r, settings, reduced_form=reduced_form)
+            chain = run_chain(y, x, spec_r, settings, reduced_form=True)
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, 1000 + idx))
             )
-            res = marginal_likelihood(
-                y, x, spec_r, chain, r2, rng, r1_cap=r1_cap, route=route
-            )
+            res = marginal_likelihood(y, x, spec_r, chain, r2, rng)
             rows.append(
                 FactorCountRow(r=r, log_ml=res.log_value, se=res.se, ess=res.ess)
             )

@@ -159,18 +159,18 @@ class PriorSpec:
             "mu_var", "phi_mean", "phi_var", "sig2_shape", "sig2_scale",
         ):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.any(self.beta_var <= 0) or np.any(self.load_var < 0):
+        if np.any(self.beta_var <= 0) or np.any(self.load_var <= 0):
             raise ValueError("prior variances must be positive")
         if np.any(self.mu_var <= 0) or np.any(self.phi_var <= 0):
             raise ValueError("prior variances must be positive")
         if np.any(self.sig2_shape <= 1) or np.any(self.sig2_scale <= 0):
             raise ValueError("inverse-gamma shape must exceed 1 and scale be positive")
 
-    def permute(self, perm, n):
-        o = perm.order
+    def permute(self, perm):
+        o, n = perm.order, perm.n
         return PriorSpec(
-            beta_mean=_permute_equation_block(self.beta_mean, o),
-            beta_var=_permute_equation_block(self.beta_var, o),
+            beta_mean=_permute_lag_columns(self.beta_mean[o], o),
+            beta_var=_permute_lag_columns(self.beta_var[o], o),
             load_mean=self.load_mean[o],
             load_var=self.load_var[o],
             mu_mean=self.mu_mean[o],
@@ -182,13 +182,13 @@ class PriorSpec:
         )
 
 
-def _permute_equation_block(mat, order):
-    # rows are equations, columns the (intercept, lag blocks) layout
+def _permute_lag_columns(mat, order):
+    """Copy of `mat` whose columns, laid out as (intercept, lag-1 block, ...,
+    lag-p block) with one column per variable in each block, follow `order`
+    within every lag block."""
     n = len(order)
-    out = mat[order].copy()
-    k = mat.shape[1]
-    p = (k - 1) // n
-    for lag in range(p):
+    out = mat.copy()
+    for lag in range((mat.shape[1] - 1) // n):
         cols = slice(1 + lag * n, 1 + (lag + 1) * n)
         out[:, cols] = out[:, cols][:, order]
     return out
@@ -398,7 +398,7 @@ class Permutation:
         return Permutation(inv)
 
 
-def permute_model(draw, states, p, perm):
+def permute_model(draw, states, perm):
     """Covariant transformation of a parameter draw and latent states under a
     variable reordering: equations and within-lag coefficient columns are
     reordered together, loadings/means/idiosyncratic SV parameters by row,
@@ -407,7 +407,7 @@ def permute_model(draw, states, p, perm):
     if perm.n != n:
         raise DimensionMismatchError("permutation length does not match n")
     o = perm.order
-    new_beta = _permute_equation_block(draw.beta_matrix(), o).ravel()
+    new_beta = _permute_lag_columns(draw.beta_matrix()[o], o).ravel()
     new = ParamDraw(
         beta=new_beta,
         load=draw.load[o],
@@ -422,16 +422,9 @@ def permute_model(draw, states, p, perm):
     return new, new_states
 
 
-def permute_data(y, x, p, perm):
+def permute_data(y, x, perm):
     """Reorder data columns and the matching lag-regressor columns."""
-    o = perm.order
-    n = y.shape[1]
-    ynew = y[:, o]
-    xnew = x.copy()
-    for lag in range(p):
-        cols = slice(1 + lag * n, 1 + (lag + 1) * n)
-        xnew[:, cols] = xnew[:, cols][:, o]
-    return ynew, xnew
+    return y[:, perm.order], _permute_lag_columns(x, perm.order)
 
 
 def build_lagged(raw, p):

@@ -6,41 +6,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import MaxResimulationsError, VarFsvError
-from .model import LatentStates, ParamDraw
+from .model import LatentStates, ParamDraw, build_lagged
 
 _BURN = 100  # transient periods discarded before the kept sample
+_PHI = 0.98  # AR coefficient of every log-volatility path
+_SIG2 = 0.01  # innovation variance of every log-volatility path
+_STABILITY_RADIUS = 0.999  # largest companion spectral radius accepted
+_MAX_RESIMULATIONS = 1000
 
 
 @dataclass
 class DgpConfig:
     """Simulation design: dimensions, signal-to-noise scalar theta multiplying
-    the idiosyncratic errors (variance scale theta), per-series volatility
-    switches, and the seed."""
+    the idiosyncratic errors (variance scale theta), and the seed."""
 
     n: int
     p: int
     r: int
     T: int
     theta: float = 1.0
-    sv_flags: np.ndarray = None  # (n+r,) booleans; None = all on
     seed: int = 0
-    mu_idio: float = 0.0  # unconditional mean of idiosyncratic log-volatility
-    phi: float = 0.98
-    sig2: float = 0.01
-    stability_radius: float = 0.999
-    max_resimulations: int = 1000
 
     def __post_init__(self):
         if min(self.n, self.p, self.T) < 1 or self.r < 0:
             raise ValueError("dimensions must be positive (r >= 0)")
         if self.theta <= 0:
             raise ValueError("theta must be positive")
-        if self.sv_flags is None:
-            self.sv_flags = np.ones(self.n + self.r, dtype=bool)
-        else:
-            self.sv_flags = np.asarray(self.sv_flags, dtype=bool)
-            if self.sv_flags.shape != (self.n + self.r,):
-                raise ValueError("sv_flags must have length n + r")
 
 
 @dataclass
@@ -78,17 +69,15 @@ def companion_radius(mats):
 
 
 def _simulate_sv_paths(cfg, rng, length):
-    """AR(1) log-volatility paths started from their stationary law;
-    switched-off series stay at zero."""
+    """Zero-mean AR(1) log-volatility paths started from their stationary
+    law."""
     d = cfg.n + cfg.r
-    means = np.concatenate([np.full(cfg.n, cfg.mu_idio), np.zeros(cfg.r)])
-    sd = np.sqrt(cfg.sig2)
+    sd = np.sqrt(_SIG2)
     h = np.empty((length, d))
-    h[0] = means + sd / np.sqrt(1 - cfg.phi**2) * rng.standard_normal(d)
+    h[0] = sd / np.sqrt(1 - _PHI**2) * rng.standard_normal(d)
     shocks = rng.normal(0.0, sd, (length - 1, d))
     for t in range(1, length):
-        h[t] = means + cfg.phi * (h[t - 1] - means) + shocks[t - 1]
-    h[:, ~cfg.sv_flags] = 0.0
+        h[t] = _PHI * h[t - 1] + shocks[t - 1]
     return h
 
 
@@ -96,21 +85,21 @@ def generate_dataset(cfg, rng=None):
     """Simulate one dataset and its generating parameters.
 
     The VAR coefficient draw is repeated until the companion spectral radius
-    is below `cfg.stability_radius` (the count is reported).  The returned
+    is below `_STABILITY_RADIUS` (the count is reported).  The returned
     truth folds the theta scaling of the idiosyncratic errors into their
     log-volatility paths and means, so it is an exact parameter point of the
-    estimated model class (up to flat paths for switched-off series).
+    estimated model class.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n, p, r, T = cfg.n, cfg.p, cfg.r, cfg.T
     a0, mats = draw_var_coefficients(cfg, rng)
     resim = 0
-    while companion_radius(mats) >= cfg.stability_radius:
+    while companion_radius(mats) >= _STABILITY_RADIUS:
         resim += 1
-        if resim >= cfg.max_resimulations:
+        if resim >= _MAX_RESIMULATIONS:
             raise MaxResimulationsError(
-                f"no stable coefficient draw in {cfg.max_resimulations} tries"
+                f"no stable coefficient draw in {_MAX_RESIMULATIONS} tries"
             )
         a0, mats = draw_var_coefficients(cfg, rng)
     load = rng.standard_normal((n, r))
@@ -131,25 +120,17 @@ def generate_dataset(cfg, rng=None):
         for j, aj in enumerate(mats, start=1):
             yt = yt + aj @ yfull[t - j]
         yfull[t] = yt
-
-    y = yfull[-T:]
-    k = n * p + 1
-    x = np.ones((T, k))
-    for lag in range(1, p + 1):
-        x[:, 1 + (lag - 1) * n : 1 + lag * n] = yfull[length - T - lag : length - lag]
+    y, x = build_lagged(yfull[length - T - p:], p)
 
     beta = np.hstack([a0[:, None]] + [aj for aj in mats]).ravel()
     h_kept = h[-T:].copy()
     h_kept[:, :n] += np.log(cfg.theta)
-    mu_truth = np.where(
-        cfg.sv_flags[:n], cfg.mu_idio, 0.0
-    ) + np.log(cfg.theta)
     truth = ParamDraw(
         beta=beta,
         load=load,
-        mu=mu_truth,
-        phi=np.full(n + r, cfg.phi),
-        sig2=np.full(n + r, cfg.sig2),
+        mu=np.full(n, np.log(cfg.theta)),
+        phi=np.full(n + r, _PHI),
+        sig2=np.full(n + r, _SIG2),
     )
     states = LatentStates(h=h_kept, f=f[-T:].copy())
     truth.validate()
@@ -171,8 +152,7 @@ class SelectionCellResult:
     failure_messages: list = field(default_factory=list)
 
 
-def selection_experiment(grid, replications, candidates, run_candidate,
-                         base_seed=0):
+def selection_experiment(grid, replications, candidates, run_candidate):
     """Factor-count selection frequencies over a design grid.
 
     `run_candidate(bundle, r, seed)` must return the log marginal likelihood
@@ -190,7 +170,7 @@ def selection_experiment(grid, replications, candidates, run_candidate,
         winners = []
         failures = []
         for rep in range(replications):
-            seed = base_seed + 1000 * cell_idx + rep
+            seed = 1000 * cell_idx + rep
             try:
                 cfg = DgpConfig(n=n, p=p, r=r_true, T=T, theta=theta, seed=seed)
                 bundle = generate_dataset(cfg)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from varfsv.bandlin import (
     BandCholeskyFactor,
@@ -219,3 +221,67 @@ def test_factor_solve_upper_is_transpose_solve():
     z = rng.standard_normal(15)
     assert np.allclose(f.solve_upper(z), np.linalg.solve(dense.T, z), atol=1e-12)
     assert np.allclose(f.solve_lower(z), np.linalg.solve(dense, z), atol=1e-12)
+
+
+def _rel_close(got, want, rtol=1e-10):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * max(
+        1.0, np.max(np.abs(want), initial=0.0)
+    )
+
+
+def _band_factor(rng, dim, bw):
+    """Dense lower-banded G with a positive diagonal, well conditioned."""
+    g = np.diag(1.0 + rng.uniform(size=dim))
+    for d in range(1, bw + 1):
+        idx = np.arange(dim - d)
+        g[idx + d, idx] = rng.standard_normal(dim - d) / (bw + 1)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_band_routines_match_dense_algebra(dim, data):
+    bw = data.draw(st.integers(0, min(dim - 1, 6)), label="bandwidth")
+    bw2 = data.draw(st.integers(0, min(dim - 1, 6)), label="second bandwidth")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = _band_factor(rng, dim, bw)
+    a = g @ g.T
+    m = BandSymMatrix.from_dense(a, bw)
+    f = m.cholesky()
+
+    dense_chol = np.linalg.cholesky(a)
+    for d in range(bw + 1):
+        _rel_close(f.bands[d, : dim - d], np.diagonal(dense_chol, -d))
+    _rel_close(f.log_det, np.linalg.slogdet(a)[1])
+
+    b = rng.standard_normal(dim)
+    bmat = rng.standard_normal((dim, 3))
+    _rel_close(f.solve(b), np.linalg.solve(a, b))
+    _rel_close(f.solve(bmat), np.linalg.solve(a, bmat))
+    _rel_close(f.solve_lower(b), np.linalg.solve(dense_chol, b))
+    _rel_close(f.solve_upper(b), np.linalg.solve(dense_chol.T, b))
+
+    xs = rng.standard_normal((4, dim))
+    _rel_close(m.matvec(xs[0]), a @ xs[0])
+    _rel_close(m.matvec(xs), xs @ a)
+
+    v = rng.uniform(size=dim)
+    _rel_close(m.add_diagonal(v).to_dense(), a + np.diag(v))
+
+    other = _band_factor(rng, dim, bw2)
+    other = other @ other.T
+    _rel_close(band_add(m, BandSymMatrix.from_dense(other, bw2)).to_dense(), a + other)
+
+    side = bw + 1
+    blocks = rng.standard_normal((max(1, dim // side), side, side))
+    blocks = blocks + blocks.transpose(0, 2, 1)
+    _rel_close(
+        BandSymMatrix.from_blocks(blocks).to_dense(), scipy.linalg.block_diag(*blocks)
+    )
+
+    mean = rng.standard_normal(dim)
+    draws, logq = GaussianInPrecisionForm(mean, m).sample_with_logpdf(rng, 5)
+    want = stats.multivariate_normal(mean, np.linalg.inv(a)).logpdf(draws)
+    _rel_close(logq, np.atleast_1d(want))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from varfsv import gibbs, model, simulate
-from varfsv.exceptions import ConfigError, NumericalError
+from varfsv.exceptions import ConfigError, NotPositiveDefiniteError, NumericalError
 from varfsv.model import FREE, NEG, POS, ZERO, ModelSpec, ParamDraw, Permutation, SignMatrix
 
 
@@ -321,6 +321,16 @@ class TestSampleBetaLoadings:
         spec.priors.beta_var[1, 0] = -1e-6
         settings = gibbs.McmcSettings(burn_in=2, draws=2, seed=1)
         with pytest.raises(NumericalError, match=r"^sweep 0: equation 1 "):
+            gibbs.run_chain(y, x, spec, settings, reduced_form=True)
+
+    def test_run_chain_keeps_error_type(self, monkeypatch):
+        def not_pd(*args):
+            raise NotPositiveDefiniteError("factor precision not PD")
+
+        monkeypatch.setattr(gibbs, "sample_factors", not_pd)
+        y, x, spec = tiny_spec(np.random.default_rng(20), n=3, T=25)
+        settings = gibbs.McmcSettings(burn_in=2, draws=2, seed=1)
+        with pytest.raises(NotPositiveDefiniteError, match=r"^sweep 0: factor precision"):
             gibbs.run_chain(y, x, spec, settings, reduced_form=True)
 
 
@@ -641,9 +651,9 @@ class TestRunChain:
         priors = model.default_priors(raw, n, p, 1)
         spec = ModelSpec(n=n, p=p, r=1, T=T, priors=priors, signs=signs)
         perm = Permutation([2, 0, 3, 1])
-        yp, xp = model.permute_data(bundle.y, bundle.x, p, perm)
+        yp, xp = model.permute_data(bundle.y, bundle.x, perm)
         spec_p = ModelSpec(
-            n=n, p=p, r=1, T=T, priors=priors.permute(perm, n),
+            n=n, p=p, r=1, T=T, priors=priors.permute(perm),
             signs=signs.permute_rows(perm),
         )
 

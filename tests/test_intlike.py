@@ -207,8 +207,8 @@ class TestCondLikelihood:
         perm = Permutation(rng.permutation(4))
         base = intlike.log_cond_likelihood(y, x, draw.beta, draw.load, h)
         base += intlike.log_state_prior(h, draw.mu, draw.phi, draw.sig2)
-        yp, xp = permute_data(y, x, 2, perm)
-        dp, sp = permute_model(draw, states, 2, perm)
+        yp, xp = permute_data(y, x, perm)
+        dp, sp = permute_model(draw, states, perm)
         got = intlike.log_cond_likelihood(yp, xp, dp.beta, dp.load, sp.h)
         got += intlike.log_state_prior(sp.h, dp.mu, dp.phi, dp.sig2)
         assert got == pytest.approx(base, abs=1e-10)
@@ -467,8 +467,8 @@ class TestIntegratedLikelihood:
 
         perm = Permutation([2, 0, 1])
         states = LatentStates(h=em.h_hat, f=np.zeros((5, 1)))
-        dp, _ = permute_model(draw, states, 1, perm)
-        yp, xp = permute_data(y, x, 1, perm)
+        dp, _ = permute_model(draw, states, perm)
+        yp, xp = permute_data(y, x, perm)
         gp, emp, _ = intlike.importance_density(yp, xp, dp)
         # mode and precision permute covariantly
         assert np.allclose(emp.h_hat[:, :3], em.h_hat[:, perm.order], atol=1e-8)
@@ -495,8 +495,8 @@ class TestIntegratedLikelihood:
         base = intlike.integrated_likelihood_from_draws(y, x, draw, hs, log_q)
 
         states = LatentStates(h=em.h_hat, f=np.zeros((T, r)))
-        dp, _ = permute_model(draw, states, 1, perm)
-        yp, xp = permute_data(y, x, 1, perm)
+        dp, _ = permute_model(draw, states, perm)
+        yp, xp = permute_data(y, x, perm)
         gp, _, _ = intlike.importance_density(yp, xp, dp, route=route)
         hp = hs.reshape(64, T, n + r).copy()
         hp[:, :, :n] = hp[:, :, perm.order]

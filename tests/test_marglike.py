@@ -52,14 +52,14 @@ class TestCeFamily:
             phi=chain.phi[:10], sig2=chain.sig2[:10], h=chain.h[:10], f=chain.f[:10],
         )
         with pytest.raises(InsufficientDrawsError):
-            marglike.fit_ce_family(short, spec.signs)
+            marglike.fit_ce_family(short)
 
     def test_constant_draws_hit_variance_floor(self):
         rng = np.random.default_rng(3)
         y, x, spec, chain = small_chain(rng, draws=60)
         chain.mu[:] = chain.mu[0]
         chain.beta[:] = chain.beta[0]
-        fam = marglike.fit_ce_family(chain, spec.signs)
+        fam = marglike.fit_ce_family(chain)
         assert np.all(fam.mu_var == 1e-10)
         # degenerate beta draws still yield a usable (ridged) factor
         assert np.all(np.isfinite(fam.beta_chol))
@@ -68,7 +68,7 @@ class TestCeFamily:
     def test_fit_invariant_to_draw_order(self):
         rng = np.random.default_rng(4)
         y, x, spec, chain = small_chain(rng, draws=80)
-        fam1 = marglike.fit_ce_family(chain, spec.signs)
+        fam1 = marglike.fit_ce_family(chain)
         perm = rng.permutation(chain.size)
         shuffled = gibbs.McmcChain(
             n=chain.n, p=chain.p, r=chain.r, T=chain.T, settings=chain.settings,
@@ -76,7 +76,7 @@ class TestCeFamily:
             phi=chain.phi[perm], sig2=chain.sig2[perm], h=chain.h[perm],
             f=chain.f[perm],
         )
-        fam2 = marglike.fit_ce_family(shuffled, spec.signs)
+        fam2 = marglike.fit_ce_family(shuffled)
         assert np.allclose(fam1.beta_mean, fam2.beta_mean, atol=1e-12)
         assert np.allclose(fam1.beta_chol, fam2.beta_chol, atol=1e-10)
         assert np.allclose(fam1.sig2_shape, fam2.sig2_shape, rtol=1e-9)
@@ -160,7 +160,7 @@ class TestWeights:
                                     random_state=rng),
             h=np.zeros((size, T, n + r)), f=np.zeros((size, T, r)),
         )
-        fam = marglike.fit_ce_family(chain, signs)
+        fam = marglike.fit_ce_family(chain)
         assert fam.load_mean.shape == (n, r) and fam.load_var.shape == (n, r)
         logw = np.empty(20_000)
         for i in range(len(logw)):

@@ -126,7 +126,7 @@ class TestPermutation:
         rng = np.random.default_rng(0)
         draw = small_draw(rng)
         states = m.LatentStates(h=rng.standard_normal((5, 4)), f=rng.standard_normal((5, 1)))
-        new, new_states = m.permute_model(draw, states, p=2, perm=m.Permutation(np.arange(3)))
+        new, new_states = m.permute_model(draw, states, perm=m.Permutation(np.arange(3)))
         assert np.array_equal(new.beta, draw.beta)
         assert np.array_equal(new_states.h, states.h)
 
@@ -138,7 +138,7 @@ class TestPermutation:
             phi=np.array([0.5, 0.6, 0.7]), sig2=np.ones(3) * 0.1,
         )
         states = m.LatentStates(h=np.zeros((4, 3)), f=np.zeros((4, 1)))
-        swapped, _ = m.permute_model(draw, states, p=1, perm=m.Permutation([1, 0]))
+        swapped, _ = m.permute_model(draw, states, perm=m.Permutation([1, 0]))
         assert np.allclose(swapped.lag_matrices()[0], [[d, c], [b, a]])
         assert np.allclose(swapped.intercept(), [1.0, 0.0])
         assert np.allclose(swapped.load.ravel(), [2.0, 1.0])
@@ -149,8 +149,8 @@ class TestPermutation:
         draw = small_draw(rng, n=4, p=3, r=2)
         states = m.LatentStates(h=rng.standard_normal((6, 6)), f=rng.standard_normal((6, 2)))
         perm = m.Permutation(rng.permutation(4))
-        fwd, fwd_states = m.permute_model(draw, states, 3, perm)
-        back, back_states = m.permute_model(fwd, fwd_states, 3, perm.inverse())
+        fwd, fwd_states = m.permute_model(draw, states, perm)
+        back, back_states = m.permute_model(fwd, fwd_states, perm.inverse())
         assert np.array_equal(back.beta, draw.beta)
         assert np.array_equal(back.load, draw.load)
         assert np.array_equal(back.phi, draw.phi)
@@ -162,7 +162,7 @@ class TestPermutation:
         perm = m.Permutation([2, 0, 1])
         y1, x1 = m.build_lagged(raw[:, perm.order], 2)
         y0, x0 = m.build_lagged(raw, 2)
-        y2, x2 = m.permute_data(y0, x0, 2, perm)
+        y2, x2 = m.permute_data(y0, x0, perm)
         assert np.array_equal(y1, y2)
         assert np.array_equal(x1, x2)
 
@@ -181,6 +181,17 @@ class TestTypes:
         bad.phi[0] = 1.0
         with pytest.raises(ValueError):
             bad.validate()
+
+    def test_priorspec_rejects_zero_loading_variance(self):
+        data = np.random.default_rng(2).standard_normal((40, 3))
+        pri = m.default_priors(data, 3, 1, 1)
+        fields = {name: getattr(pri, name) for name in pri.__dataclass_fields__}
+        fields["load_var"] = pri.load_var.copy()
+        fields["load_var"][0, 0] = 0.0
+        with pytest.raises(ValueError, match="variances must be positive"):
+            m.PriorSpec(**fields)
+        no_factors = m.default_priors(data, 3, 1, 0)
+        assert no_factors.load_var.shape == (3, 0)
 
     def test_sign_satisfaction_strict(self):
         s = signs_from_pattern(["+ 0", "- ."])
