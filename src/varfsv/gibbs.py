@@ -187,12 +187,13 @@ def sample_beta_loadings(y, x, xx, fmat, h, beta_mean, beta_var, load_mean,
     x'W_i x from one product of exp(-h) with `xx = x_products(x)`, and
     bordered by their right-hand sides b, so one Cholesky per equation gives
     L and, in its last row, u = L^{-1} b; a draw is theta = L'^{-1}(u + z).
-    Zero-restricted loadings are decoupled (unit precision, zero right-hand
-    side) and come out exactly 0.  Sign-restricted loadings are drawn first
-    from their marginal N(l_hat = L22'^{-1} u_l, (L22 L22')^{-1}) by
-    accept-reject, or by a box-Gibbs update from the current `load` when no
-    proposal is inside; z_l = L22'(l - l_hat) then gives beta its exact
-    conditional.  Equation i draws only from `rngs[i]`."""
+    Zero-restricted loadings are decoupled unit coordinates (no cross terms,
+    zero right-hand side), drawn unbounded and set to exactly 0 at the end.
+    Sign-restricted loadings are drawn first from their marginal
+    N(l_hat = L22'^{-1} u_l, (L22 L22')^{-1}), L22 = L[k:, k:], by
+    accept-reject through the root L22'^{-1}, or by a box-Gibbs update from
+    the current `load` when no proposal is inside; z_l = L22'(l - l_hat) then
+    gives beta its exact conditional.  Equation i draws only from `rngs[i]`."""
     (T, n), k, r = y.shape, x.shape[1], fmat.shape[1]
     m = k + r
     keep = np.concatenate([np.ones((n, k), bool), codes != ZERO], axis=1)
@@ -216,38 +217,32 @@ def sample_beta_loadings(y, x, xx, fmat, h, beta_mean, beta_var, load_mean,
     a[:, m, m] = 2.0 * (np.sum(wy * y.T, axis=1) + np.sum(theta0**2 / var0, axis=1)) + 1.0
 
     signed = np.any((codes == POS) | (codes == NEG), axis=1)
+    lb, ub = sign_bounds(codes)
     beta = np.empty((n, k))
-    out = np.zeros((n, r))
+    out = np.empty((n, r))
     for i, rng in enumerate(rngs):
         chol, info = lapack.dpotrf(a[i], lower=1)
         if info != 0:
             raise NumericalError(f"equation {i} posterior precision not PD")
         fac = chol[:m, :m]
         u = chol[m, :m]
-        kept = np.flatnonzero(keep[i, k:])
-        lk = k + kept
-        z = np.zeros(m)
         if signed[i]:
-            l22 = fac[np.ix_(lk, lk)]
-            a22 = lapack.dtrtrs(l22, np.eye(kept.size), lower=1, trans=1)[0]
-            l_hat = a22 @ u[lk]
-            lb, ub = sign_bounds(codes[i, kept])
-            l_draw = tmvn.TruncatedMVN(l_hat, a22 @ a22.T, lb, ub).sample_one(rng)
+            l22 = fac[k:, k:]
+            root = lapack.dtrtrs(l22, np.eye(r), lower=1, trans=1)[0]
+            l_hat = root @ u[k:]
+            l_draw = tmvn.TruncatedMVN(l_hat, root, lb[i], ub[i]).sample_one(rng)
             if l_draw is None:
-                x0 = load[i, kept]
-                if not np.all((x0 > lb) & (x0 < ub)):
-                    raise TruncationFailureError(
-                        "no feasible starting point for the loading orthant"
-                    )
-                l_draw = tmvn.gibbs_sample_box(rng, l_hat, l22 @ l22.T, lb, ub, x0)
-            z[:k] = rng.standard_normal(k)
-            z[lk] = l22.T @ (l_draw - l_hat)
+                if not np.all((load[i] > lb[i]) & (load[i] < ub[i])):
+                    raise TruncationFailureError("no feasible start in the loading orthant")
+                l_draw = tmvn.gibbs_sample_box(rng, l_hat, l22 @ l22.T, lb[i], ub[i], load[i])
+            z = np.concatenate([rng.standard_normal(k), l22.T @ (l_draw - l_hat)])
         else:
-            z[np.flatnonzero(keep[i])] = rng.standard_normal(k + kept.size)
+            z = np.zeros(m)
+            z[keep[i]] = rng.standard_normal(np.count_nonzero(keep[i]))
         theta = lapack.dtrtrs(fac, u + z, lower=1, trans=1)[0]
         beta[i] = theta[:k]
-        out[i, kept] = l_draw if signed[i] else theta[lk]
-    return beta, out
+        out[i] = l_draw if signed[i] else theta[k:]
+    return beta, np.where(keep[:, k:], out, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +250,18 @@ def sample_beta_loadings(y, x, xx, fmat, h, beta_mean, beta_var, load_mean,
 
 
 def _mixture_indicators(ystar, h, rng):
-    """Posterior draw of the mixture component for each (t, series) cell."""
-    dev = ystar[..., None] - h[..., None] - _MIX_MEAN  # (..., 7)
-    logp = _MIX_LOG_NORM - 0.5 * dev**2 / _MIX_VAR
-    logp -= logp.max(axis=-1, keepdims=True)
-    prob = np.exp(logp)
-    prob /= prob.sum(axis=-1, keepdims=True)
-    u = rng.uniform(size=ystar.shape)[..., None]
-    return (u > np.cumsum(prob, axis=-1)).sum(axis=-1)
+    """Posterior draw of the mixture component of each (t, series) cell: the
+    count of unnormalised cumulative component probabilities, shifted by the
+    cell's largest, below u times their total (at most 6 since u < 1)."""
+    dev = ystar - h
+    p = np.empty((len(_MIX_MEAN),) + dev.shape)
+    for j in range(len(_MIX_MEAN)):
+        p[j] = _MIX_LOG_NORM[j] - (dev - _MIX_MEAN[j]) ** 2 / (2.0 * _MIX_VAR[j])
+    p -= p.max(axis=0)
+    np.exp(p, out=p)
+    np.cumsum(p, axis=0, out=p)
+    u = rng.uniform(size=dev.shape) * p[-1]
+    return np.count_nonzero(p[:-1] < u, axis=0)
 
 
 def _stacked_sv_draw(ystar, h_current, means, phi, sig2, rng):

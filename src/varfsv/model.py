@@ -90,8 +90,8 @@ class SignMatrix:
 
 def sign_bounds(codes):
     """Box bounds (lower, upper) of the sign regions of loadings with these
-    codes: POS is (0, inf), NEG (-inf, 0), FREE unbounded.  ZERO entries are
-    not sampled, so callers drop them first."""
+    codes: POS is (0, inf), NEG (-inf, 0), FREE and ZERO unbounded.  Callers
+    drop zero-restricted entries or set them to 0 after the draw."""
     lb = np.where(codes == POS, 0.0, -np.inf)
     ub = np.where(codes == NEG, 0.0, np.inf)
     return lb, ub

@@ -1,9 +1,9 @@
 """Truncated multivariate normal sampling.
 
-`TruncatedMVN` is exact accept-reject from the untruncated normal: a batch of
-proposals is drawn and the first inside the box is returned.  The sign
-regions of the Gibbs sampler's loadings hold most of their conditional's
-mass, so the first proposal is nearly always inside.
+`TruncatedMVN` is exact accept-reject from the untruncated normal, proposed
+through a square root of its covariance.  The sign regions of the Gibbs
+sampler's loadings hold most of their conditional's mass, so one point is
+proposed first and a batch only after a miss; the first inside is returned.
 
 A coordinate-wise Gibbs kernel over the box is provided as a fallback for
 regions so improbable that a batch holds no accepted proposal; started from
@@ -109,39 +109,40 @@ def _norm_reject(rng, lb, ub):
 
 
 class TruncatedMVN:
-    """Accept-reject sampler for X ~ N(mean, cov) restricted to the box
+    """Accept-reject sampler for X ~ N(mean, root root') restricted to the box
     lb < X < ub.
 
-    Proposals come from the untruncated N(mean, cov) through a Cholesky
-    factor of `cov` taken once at construction; `ready` is False when that
-    factorization fails, in which case callers should use the Gibbs fallback.
+    Proposals are mean + root z with z standard normal, so `root` is any
+    square root of the covariance (a Cholesky factor, or the inverse
+    transpose of a precision's); `ready` is False when it is not finite, in
+    which case callers should use the Gibbs fallback.
     """
 
-    def __init__(self, mean, cov, lb, ub):
+    def __init__(self, mean, root, lb, ub):
         self.mean = np.asarray(mean, dtype=float)
+        self.root = np.asarray(root, dtype=float)
         self.lb = np.asarray(lb, dtype=float)
         self.ub = np.asarray(ub, dtype=float)
         if np.any(self.ub <= self.lb):
             raise ValueError("need lb < ub in every coordinate")
-        try:
-            self._chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            self._chol = None
-        self.ready = self._chol is not None
+        self.ready = bool(np.all(np.isfinite(self.root)))
 
     def _propose(self, rng, n):
         # n untruncated draws, one per row
         z = rng.standard_normal((n, len(self.mean)))
-        return self.mean + z @ self._chol.T
+        return self.mean + z @ self.root.T
 
     def sample_one(self, rng, max_proposals=100):
-        """One exact draw: the first of `max_proposals` proposals strictly
-        inside the box, or None if none is."""
-        if not self.ready:
+        """One exact draw: the first of at most `max_proposals` proposals
+        strictly inside the box (one, then the rest if it missed), or None."""
+        if not self.ready or max_proposals < 1:
             return None
-        x = self._propose(rng, max_proposals)
-        inside = np.flatnonzero(np.all((x > self.lb) & (x < self.ub), axis=1))
-        return x[inside[0]] if inside.size else None
+        for n in (1, max_proposals - 1):
+            x = self._propose(rng, n)
+            inside = np.flatnonzero(np.all((x > self.lb) & (x < self.ub), axis=1))
+            if inside.size:
+                return x[inside[0]]
+        return None
 
 
 def gibbs_sample_box(rng, mean, precision, lb, ub, x0, sweeps=5):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from varfsv import gibbs, model, simulate
 from varfsv.exceptions import ConfigError, NotPositiveDefiniteError, NumericalError
@@ -269,7 +269,7 @@ class TestSampleBetaLoadings:
         y, x, fmat, h, bm, bv, lm, lv, load = self._block_inputs(
             np.random.default_rng(20), codes
         )
-        k = x.shape[1]
+        k, r = x.shape[1], codes.shape[1]
         beta, out = gibbs.sample_beta_loadings(
             y, x, gibbs.x_products(x), fmat, h, bm, bv, lm, lv, codes, load,
             [np.random.default_rng(200 + i) for i in range(len(codes))],
@@ -289,11 +289,21 @@ class TestSampleBetaLoadings:
                 )
                 l_draw = theta[k:]
             else:
+                # all r loadings are proposed through the root inv(chol(Schur))',
+                # a zero-restricted one as an unbounded decoupled unit
+                # coordinate: one point first, a batch of 99 only on a miss
                 schur = K[k:, k:] - K[k:, :k] @ np.linalg.solve(K[:k, :k], K[:k, k:])
-                lb, ub = model.sign_bounds(row[kept])
-                l_draw = gibbs.tmvn.TruncatedMVN(
-                    mean[k:], np.linalg.inv(schur), lb, ub
-                ).sample_one(rng)
+                root = np.eye(r)
+                root[np.ix_(kept, kept)] = np.linalg.inv(np.linalg.cholesky(schur)).T
+                l_mean = np.zeros(r)
+                l_mean[kept] = mean[k:]
+                lb, ub = model.sign_bounds(row)
+                for size in (1, 99):
+                    prop = l_mean + rng.standard_normal((size, r)) @ root.T
+                    inside = prop[np.all((prop > lb) & (prop < ub), axis=1)]
+                    if len(inside):
+                        break
+                l_draw = inside[0][kept]
                 cond = mean[:k] - np.linalg.solve(K[:k, :k], K[:k, k:] @ (l_draw - mean[k:]))
                 theta = cond + np.linalg.solve(
                     np.linalg.cholesky(K[:k, :k]).T, rng.standard_normal(k)
@@ -301,6 +311,45 @@ class TestSampleBetaLoadings:
             assert np.allclose(beta[i], theta[:k], rtol=0, atol=1e-10)
             assert np.allclose(out[i, kept], l_draw, rtol=0, atol=1e-10)
             assert np.all(out[i, row == ZERO] == 0.0)
+
+    def test_mixed_rows_match_rejection_from_joint_normal(self):
+        # oracle: each equation's untruncated joint N(theta_hat, K^-1), built
+        # densely without its zero-restricted regressors, kept where the
+        # loadings obey the signs
+        codes = np.array(
+            [[ZERO, POS, FREE], [NEG, ZERO, ZERO], [POS, NEG, FREE]], dtype=np.int8
+        )
+        y, x, fmat, h, bm, bv, lm, lv, load = self._block_inputs(
+            np.random.default_rng(21), codes
+        )
+        k = x.shape[1]
+        xx = gibbs.x_products(x)
+        rngs = [np.random.default_rng(300 + i) for i in range(len(codes))]
+        draws = 20_000
+        beta = np.empty((draws, *bm.shape))
+        out = np.empty((draws, *lm.shape))
+        for s in range(draws):
+            beta[s], load = gibbs.sample_beta_loadings(
+                y, x, xx, fmat, h, bm, bv, lm, lv, codes, load, rngs
+            )
+            out[s] = load
+        assert np.all(out[:, codes == ZERO] == 0.0)
+        rng = np.random.default_rng(22)
+        for i, row in enumerate(codes):
+            kept = np.flatnonzero(row != ZERO)
+            z = np.column_stack([x, fmat[:, kept]])
+            var0 = np.concatenate([bv[i], lv[i, kept]])
+            w = np.exp(-h[:, i])
+            K = (z * w[:, None]).T @ z + np.diag(1 / var0)
+            rhs = np.concatenate([bm[i], lm[i, kept]]) / var0 + z.T @ (w * y[:, i])
+            raw = rng.multivariate_normal(
+                np.linalg.solve(K, rhs), np.linalg.inv(K), size=400_000
+            )
+            lb, ub = model.sign_bounds(row[kept])
+            keep = raw[np.all((raw[:, k:] > lb) & (raw[:, k:] < ub), axis=1)]
+            mine = np.column_stack([beta[:, i], out[:, i, kept]])
+            mcse = np.sqrt(mine.var(axis=0) / draws + keep.var(axis=0) / len(keep))
+            assert np.all(np.abs(mine.mean(axis=0) - keep.mean(axis=0)) < 4 * mcse)
 
     def test_precision_not_pd_raises_numerical_error(self):
         codes = np.array([[POS], [FREE], [NEG]], dtype=np.int8)
@@ -342,6 +391,35 @@ class TestVolatilityPath:
         assert mean == pytest.approx(-1.2704, abs=5e-4)
         assert var == pytest.approx(np.pi**2 / 2, abs=0.02)
         assert gibbs._MIX_PROB.sum() == pytest.approx(1.0, abs=1e-5)
+
+    def test_indicators_stay_in_range_at_top_uniform(self):
+        # with u just below 1 a normalised cumulative sum that rounds below
+        # u pointed past the last component; the count stays at most 6
+        class TopUniform:
+            def uniform(self, size=None):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        rng = np.random.default_rng(23)
+        ystar = rng.normal(-1.0, 3.0, (1000, 100))
+        h = rng.normal(0.0, 2.0, (1000, 100))
+        s = gibbs._mixture_indicators(ystar, h, TopUniform())
+        assert s.min() >= 0 and s.max() <= 6
+
+    def test_indicator_frequencies_match_posterior_probabilities(self):
+        # at ystar - h = +100 every unshifted component density underflows
+        # to 0; component 0 (the widest) then takes all the mass
+        diff = np.array([-12.0, -4.0, -1.0, 0.5, 2.0, 100.0])
+        draws = 100_000
+        h = np.tile(np.linspace(-2.0, 1.0, diff.size), (draws, 1))
+        s = gibbs._mixture_indicators(h + diff, h, np.random.default_rng(24))
+        logp = stats.norm.logpdf(
+            diff[:, None], gibbs._MIX_MEAN, np.sqrt(gibbs._MIX_VAR)
+        ) + np.log(gibbs._MIX_PROB)
+        want = np.exp(logp - special.logsumexp(logp, axis=1, keepdims=True))
+        freq = np.array([np.bincount(c, minlength=7) for c in s.T]) / draws
+        mcse = np.sqrt(want * (1.0 - want) / draws)
+        assert np.all(np.abs(freq - want) <= 4 * mcse)
+        assert want[-1, 0] > 0.99
 
     def test_degenerate_state_equation_collapses_to_mean(self):
         rng = np.random.default_rng(5)

@@ -29,7 +29,8 @@ def test_trandn_far_tail():
 
 
 def test_univariate_positive_truncation():
-    tm = TruncatedMVN(np.zeros(1), np.ones((1, 1)), np.zeros(1), np.full(1, np.inf))
+    tm = TruncatedMVN(np.zeros(1), np.linalg.cholesky(np.ones((1, 1))), np.zeros(1),
+                      np.full(1, np.inf))
     rng = np.random.default_rng(2)
     draws = np.concatenate([tm.sample_one(rng) for _ in range(100_000)])
     assert np.all(draws > 0)
@@ -41,7 +42,7 @@ def test_correlated_orthant_matches_rejection_oracle():
     mean = np.array([0.3, -0.2])
     lb = np.array([0.0, -np.inf])
     ub = np.array([np.inf, 0.0])
-    tm = TruncatedMVN(mean, cov, lb.copy(), ub.copy())
+    tm = TruncatedMVN(mean, np.linalg.cholesky(cov), lb.copy(), ub.copy())
     rng = np.random.default_rng(3)
     draws = np.array([tm.sample_one(rng) for _ in range(40_000)])
     assert np.all(draws[:, 0] > 0) and np.all(draws[:, 1] < 0)
@@ -58,16 +59,71 @@ def test_low_probability_orthant_returns_none():
     # region roughly 4 sigma out in each of 3 coordinates: a batch of plain
     # proposals essentially never hits it, and the caller falls back to Gibbs
     mean = np.array([-4.0, -4.0, -4.0])
-    tm = TruncatedMVN(mean, np.eye(3), np.zeros(3), np.full(3, np.inf))
+    tm = TruncatedMVN(mean, np.linalg.cholesky(np.eye(3)), np.zeros(3), np.full(3, np.inf))
     rng = np.random.default_rng(5)
     assert tm.ready
     assert tm.sample_one(rng) is None
 
 
-def test_singular_covariance_not_ready():
-    tm = TruncatedMVN(np.zeros(2), np.ones((2, 2)), np.zeros(2), np.full(2, np.inf))
-    assert not tm.ready
-    assert tm.sample_one(np.random.default_rng(9)) is None
+def test_non_finite_root_not_ready():
+    # a precision whose triangular solve overflowed leaves inf or nan in
+    # the root; the caller then takes the box-Gibbs fallback
+    for bad in (np.nan, np.inf):
+        root = np.array([[1.0, 0.0], [bad, 1.0]])
+        tm = TruncatedMVN(np.zeros(2), root, np.zeros(2), np.full(2, np.inf))
+        assert not tm.ready
+        assert tm.sample_one(np.random.default_rng(9)) is None
+
+
+def _count_proposals(monkeypatch):
+    """Wrap `TruncatedMVN._propose`; returns the list of the `n` of each call."""
+    sizes = []
+    propose = TruncatedMVN._propose
+
+    def counting(self, rng, n):
+        sizes.append(n)
+        return propose(self, rng, n)
+
+    monkeypatch.setattr(TruncatedMVN, "_propose", counting)
+    return sizes
+
+
+def test_half_accepted_orthant_uses_both_paths_and_matches_oracle(monkeypatch):
+    # the positive quadrant holds about 37% of this normal, so the single
+    # first proposal misses often enough for the batch to run too
+    cov = np.array([[1.0, 0.5], [0.5, 1.5]])
+    mean = np.array([0.2, 0.1])
+    lb, ub = np.zeros(2), np.full(2, np.inf)
+    tm = TruncatedMVN(mean, np.linalg.cholesky(cov), lb, ub)
+    sizes = _count_proposals(monkeypatch)
+    rng = np.random.default_rng(10)
+    draws = np.array([tm.sample_one(rng) for _ in range(40_000)])
+    assert np.all(draws > 0)
+    # every call proposes one point, and a batch of 99 only after a miss
+    batches = sizes.count(99)
+    assert sizes.count(1) == len(draws)
+    assert len(sizes) == len(draws) + batches
+    assert 0.3 < 1.0 - batches / len(draws) < 0.6
+
+    rng2 = np.random.default_rng(11)
+    raw = rng2.multivariate_normal(mean, cov, size=400_000)
+    keep = raw[(raw > 0).all(axis=1)]
+    assert np.allclose(draws.mean(axis=0), keep.mean(axis=0), atol=0.02)
+    assert np.allclose(np.cov(draws.T), np.cov(keep.T), atol=0.04)
+
+
+@pytest.mark.parametrize("max_proposals", [0, 1, 2, 5, 100])
+def test_sample_one_never_exceeds_max_proposals(monkeypatch, max_proposals):
+    # one orthant that is rarely hit and one that is hit half the time
+    sizes = _count_proposals(monkeypatch)
+    rng = np.random.default_rng(12)
+    for mean in (np.full(3, -1.5), np.zeros(1)):
+        tm = TruncatedMVN(mean, np.eye(len(mean)), np.zeros(len(mean)),
+                          np.full(len(mean), np.inf))
+        for _ in range(200):
+            sizes.clear()
+            tm.sample_one(rng, max_proposals=max_proposals)
+            assert sum(sizes) <= max_proposals
 
 
 def test_gibbs_sample_box_moments():
