@@ -3,11 +3,13 @@
 The likelihood of the data with factors integrated out analytically and
 log-volatility paths integrated out by importance sampling: a Gaussian
 importance density is built from the mode of p(h | y, params) and the
-negative Hessian at the mode.  The mode comes from the EM gradient algorithm
-(Lange, 1995): one banded Newton step on the EM Q function per iteration,
+negative Hessian at the mode.  The mode comes from Newton's method on the
+exact log target, with the exact negative Hessian from Louis's identity;
+where that Hessian is not positive definite the iteration takes the EM
+gradient step (Lange, 1995) on the always-PD -H_Q instead.  Every step is
 halved until the exact log target does not decrease, so the iterates are
-monotone in that target.  Two Hessian routes are available: the exact
-negative Hessian from Louis's identity (route "direct"), and the EM
+monotone in that target.  Two Hessian routes are available for the
+importance density: the exact one (route "direct"), and the EM
 decomposition with only part of the missing information (the default).
 
 Throughout, `h` is stored (T, n+r) with the idiosyncratic block first;
@@ -15,9 +17,11 @@ stacked vectors interleave time-major, matching the banded state precision.
 The factors enter only through the per-period precision K_t, which
 `factor_precision` builds and factors once by Cholesky, K_t = C_t C_t'; the
 likelihood, the E-step, both Hessians and the Gibbs factor draw all work from
-C_t and u_t = C_t^{-1} b_t by triangular substitution (`tri_solve`).  These
-and the AR(1) prior diagonals defined here are the only copies in the
-package; the Gibbs sampler uses them too.
+C_t and u_t = C_t^{-1} b_t by triangular substitution (`tri_solve`).  The
+likelihood's quadratic form is a sum of non-negative terms (the residual
+form), so it stays exact at very negative h.  These and the AR(1) prior
+diagonals defined here are the only copies in the package; the Gibbs sampler
+uses them too.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ from .exceptions import (
 )
 
 _LOG2PI = np.log(2.0 * np.pi)
-_EM_TOL = 1e-4  # EM stops once an accepted step's norm is below this
+_EM_TOL = 1e-4  # the mode search stops once an accepted step's norm is below this
 
 
 def residuals(y, x, beta):
@@ -52,39 +56,58 @@ def factor_precision(eps, load, h):
 
     h is (..., T, n+r) with any leading batch axes; returns the lower
     Cholesky factor C (..., T, r, r) with C C' = K, u = C^{-1} b (..., T, r)
-    and Sigma_t^{-1} = exp(-h_y) as (..., T, n).  Then log det K_t is
-    2 sum log diag C_t, b_t' K_t^{-1} b_t = |u_t|^2, the conditional mean of
-    f_t is C_t'^{-1} u_t and a draw is C_t'^{-1} (u_t + z_t).
+    and Sigma_t^{-1} = exp(-h_y) as (..., T, n), for the caller to reuse.
+    Then log det K_t is 2 sum log diag C_t, b_t' K_t^{-1} b_t = |u_t|^2, the
+    conditional mean of f_t is C_t'^{-1} u_t and a draw is
+    C_t'^{-1} (u_t + z_t).
+
+    K is built component-major, and the r x r factorization and the
+    substitution run as closed-form loops over its entries, each a
+    contiguous array over the leading axes; C and u are views of that
+    layout.  A batched LAPACK call on many tiny matrices costs far more.
     """
     n, r = load.shape
+    lead = h.shape[:-1]
     ehy = np.exp(-h[..., :n])
-    # one GEMM against the products L_j L_k laid out as (n, r*r)
-    K = (ehy @ (load[:, :, None] * load[:, None, :]).reshape(n, r * r)).reshape(
-        ehy.shape[:-1] + (r, r)
-    )
-    K[..., np.arange(r), np.arange(r)] += np.exp(-h[..., n:])
-    try:
-        c = np.linalg.cholesky(K)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("factor-block precision not PD") from exc
-    return c, tri_solve(c, (ehy * eps) @ load), ehy
+    # K component-major, (r, r) + lead: one GEMM against the products L_j L_k
+    ll = (load[:, :, None] * load[:, None, :]).reshape(n, r * r)
+    k = (ll.T @ ehy.reshape(-1, n).T).reshape((r, r) + lead)
+    ehf = np.exp(-h[..., n:])
+    for i in range(r):
+        k[i, i] += ehf[..., i]
+    for j in range(r):  # Cholesky in place, column by column
+        piv = k[j, j] - sum(k[j, q] ** 2 for q in range(j))
+        if not np.all(piv > 0.0):
+            raise NotPositiveDefiniteError("factor-block precision not PD")
+        k[j, j] = np.sqrt(piv)
+        for i in range(j + 1, r):
+            k[i, j] = (k[i, j] - sum(k[i, q] * k[j, q] for q in range(j))) / k[j, j]
+            k[j, i] = 0.0
+    b = (load.T @ (ehy * eps).reshape(-1, n).T).reshape((r,) + lead)
+    c = np.moveaxis(k, (0, 1), (-2, -1))
+    return c, tri_solve(c, np.moveaxis(b, 0, -1)), ehy
 
 
 def tri_solve(c, b, trans=False):
     """x with C x = b, or C' x = b if `trans`, for lower-triangular C of shape
-    (..., r, r): r vectorised substitution steps over the leading axes.  b is
-    a vector right-hand side (..., r) or a matrix one (..., r, k) carrying
-    C's leading axes."""
+    (..., r, r): r substitution steps, each on the per-component slices
+    C[..., i, j] and b[..., i] over the leading axes.  b is a vector
+    right-hand side (..., r) or a matrix one (..., r, k) carrying C's leading
+    axes."""
     vec = b.ndim == c.ndim - 1
-    x = np.array(b[..., None] if vec else b, dtype=float)
     r = c.shape[-1]
+    if r == 0:
+        return np.array(b, dtype=float)
+    x = [None] * r
     for i in range(r - 1, -1, -1) if trans else range(r):
         # the solved entries: j > i of column i of C for C', j < i of row i
-        done = slice(i + 1, None) if trans else slice(None, i)
-        coef = c[..., done, i] if trans else c[..., i, done]
-        x[..., i, :] -= np.sum(coef[..., None] * x[..., done, :], axis=-2)
-        x[..., i, :] /= c[..., i, i, None]
-    return x[..., 0] if vec else x
+        acc = np.array(b[..., i] if vec else b[..., i, :], dtype=float)
+        for j in range(i + 1, r) if trans else range(i):
+            coef = c[..., j, i] if trans else c[..., i, j]
+            acc -= (coef if vec else coef[..., None]) * x[j]
+        x[i] = acc / (c[..., i, i] if vec else c[..., i, i, None])
+    # a vector solution stays component-major: x[..., i] is contiguous
+    return np.moveaxis(np.stack(x), 0, -1) if vec else np.stack(x, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +170,9 @@ class StatePriorAssembly:
 def log_state_prior(h, mu, phi, sig2):
     """Exact Gaussian log-density of the stacked log-volatility paths.
 
-    h has shape (T, d) or (batch, T, d); returns a scalar or (batch,).
+    h has shape (T, d) or (batch, T, d); returns a scalar or (batch,).  The
+    quadratic form runs on the flat time-major rows of length T*d, as
+    products with the tiled weights (1 - phi^2)/sig2 and 1/sig2.
     """
     h = np.asarray(h, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -157,11 +182,15 @@ def log_state_prior(h, mu, phi, sig2):
         raise NonStationaryError("|phi| must be < 1")
     T, d = h.shape[-2], h.shape[-1]
     m = np.concatenate([mu, np.zeros(d - len(mu))])
-    dev = h - m
-    quad = np.sum((1.0 - phi**2) / sig2 * dev[..., 0, :] ** 2, axis=-1)
+    flat = h.reshape(h.shape[:-2] + (T * d,))
+    quad = (flat[..., :d] - m) ** 2 @ ((1.0 - phi**2) / sig2)
     if T > 1:
-        innov = dev[..., 1:, :] - phi * dev[..., :-1, :]
-        quad = quad + np.sum(innov**2 / sig2, axis=(-2, -1))
+        # innovations h_t - phi h_{t-1} - (1 - phi) m of periods 1..T-1
+        innov = np.tile(-phi, T - 1) * flat[..., :-d]
+        innov += flat[..., d:]
+        innov -= np.tile((1.0 - phi) * m, T - 1)
+        innov *= innov
+        quad = quad + innov @ np.tile(1.0 / sig2, T - 1)
     log_det = -T * np.sum(np.log(sig2)) + np.sum(np.log1p(-(phi**2)))
     return -0.5 * T * d * _LOG2PI + 0.5 * log_det - 0.5 * quad
 
@@ -174,38 +203,63 @@ def log_cond_likelihood(y, x, beta, load, h):
     """Sum over t of log N(y_t; (I kron x_t')beta, L Omega_t L' + Sigma_t).
 
     h may be (T, n+r) or batched (R, T, n+r); returns scalar or (R,).
-    The diagonal-plus-low-rank covariance is handled through the Woodbury
-    identity and the matrix determinant lemma on the Cholesky factor of the
-    factor precision K_t, which are exact for every (n, r), r = 0 included.
+    The diagonal-plus-low-rank covariance is handled through the matrix
+    determinant lemma and the residual form of the quadratic form on the
+    Cholesky factor of the factor precision K_t, which are exact for every
+    (n, r), r = 0 included.
     """
     load = np.atleast_2d(np.asarray(load, dtype=float))
     eps = residuals(np.asarray(y, dtype=float), x, beta)
     h = np.asarray(h, dtype=float)
-    out = _log_cond_from_factors(eps, h, *factor_precision(eps, load, h))
+    out = _log_cond_from_factors(eps, load, h, *factor_precision(eps, load, h))
     return out if h.ndim == 3 else float(out)
 
 
-def _log_cond_from_factors(eps, h, c, u, ehy):
-    """`log_cond_likelihood` from `factor_precision(eps, load, h)`: the log
-    det of the covariance is sum h + log det K_t and its quadratic form is
-    eps' Sigma^{-1} eps - |u|^2, summed over the last two axes."""
-    T, n = eps.shape
+def _log_cond_from_factors(eps, load, h, c, u, ehy):
+    """`log_cond_likelihood` from `factor_precision(eps, load, h)`, summed over
+    the last two axes.  The log det of the covariance is sum h + log det K_t.
+    Its quadratic form eps' (L Omega L' + Sigma)^{-1} eps is taken in the
+    residual form (eps - L f-hat)' Sigma^{-1} (eps - L f-hat) +
+    f-hat' Omega^{-1} f-hat, f-hat = C'^{-1} u: a sum of non-negative terms.
+    The Woodbury form eps' Sigma^{-1} eps - |u|^2 equals it, but its two terms
+    both grow like eps_i^2 exp(-h_i) and cancel when an h_i is very
+    negative."""
+    n = load.shape[0]
+    fhat = tri_solve(c, u, trans=True)
+    # resid = L f-hat - eps, flattened to one row per leading index
+    resid = (fhat @ load.T).reshape(h.shape[:-2] + (-1,))
+    resid -= eps.ravel()
+    quad = np.einsum("...i,...i,...i->...", resid, resid, ehy.reshape(resid.shape))
+    quad += np.sum(fhat**2 * np.exp(-h[..., n:]), axis=(-2, -1))
     logdet = np.sum(h, axis=(-2, -1)) + 2.0 * np.sum(
         np.log(np.diagonal(c, axis1=-2, axis2=-1)), axis=(-2, -1)
     )
-    quad = np.sum(eps**2 * ehy, axis=(-2, -1)) - np.sum(u**2, axis=(-2, -1))
-    return -0.5 * T * n * _LOG2PI - 0.5 * logdet - 0.5 * quad
+    return -0.5 * eps.size * _LOG2PI - 0.5 * logdet - 0.5 * quad
 
 
 # ---------------------------------------------------------------------------
 # EM mode finding
 
 
+@dataclass(frozen=True)
+class Expansion:
+    """What the mode search and the Hessians take from the E-step at one h:
+    m and a as `_estep` returns them, the exact score of the log target
+    (`q_gradient`, flat) and -H_Q (`neg_q_hessian`)."""
+
+    h: np.ndarray  # (T, n + r)
+    m: np.ndarray
+    a: np.ndarray
+    score: np.ndarray
+    neg_hq: BandSymMatrix
+
+
 @dataclass
 class EmResult:
     h_hat: np.ndarray  # (T, n + r)
     n_em_iters: int
-    n_newton_steps: int  # one per iteration
+    n_newton_steps: int  # iterations that stepped with the exact Hessian
+    expansion: Expansion  # at h_hat, from the factors its target was computed with
 
 
 def _estep(eps, load, c, u):
@@ -236,16 +290,59 @@ def neg_q_hessian(prior, h_flat, zhat_flat):
     return prior.precision.add_diagonal(0.5 * np.exp(-h_flat) * zhat_flat)
 
 
-def em_mode(y, x, draw, h0=None, max_em=100):
-    """Mode of p(h | y, params) by the EM gradient algorithm (Lange, 1995).
+def _expand(eps, load, prior, h, c, u):
+    """The `Expansion` at h from `factor_precision`'s C and u there."""
+    m, a, zhat = _estep(eps, load, c, u)
+    h_flat, z_flat = h.ravel(), zhat.ravel()
+    return Expansion(
+        h, m, a, q_gradient(prior, h_flat, z_flat), neg_q_hessian(prior, h_flat, z_flat)
+    )
 
-    Each iteration runs the E-step at the current h and takes one Newton
-    step on Q, (-H_Q)^{-1} grad Q, which is an ascent direction of the exact
-    log target log p(y | h) + log p(h) because grad Q is its score there.
-    The step is halved until that target does not decrease, so the iterates
-    are monotone in the exact target; NumericalError is raised if 40 trial
-    steps find no such point.  Converged once an accepted step's norm is
-    below `_EM_TOL`.
+
+def _expansion_at(h, draw, y, x):
+    """The `Expansion` at a stacked h, from scratch."""
+    T = np.asarray(y).shape[0]
+    h = np.asarray(h, dtype=float).reshape(T, draw.n + draw.r)
+    eps = residuals(np.asarray(y, dtype=float), x, draw.beta)
+    prior = StatePriorAssembly.build(draw.mu, draw.phi, draw.sig2, T)
+    c, u, _ = factor_precision(eps, draw.load, h)
+    return _expand(eps, draw.load, prior, h, c, u)
+
+
+def _louis_neg_hessian(ex):
+    """Exact negative Hessian of the log target at `ex.h` (Louis, 1982): -H_Q
+    minus the covariance of the complete-data score given y and h.  Per
+    period, u = (eps - L f, f) has conditional mean m and covariance
+    C = W K^{-1} W' = a'a with W = [-L; I], so the score covariance is
+    1/4 e^{-h_i-h_j} (2 C_ij^2 + 4 m_i m_j C_ij); with a and m scaled by
+    s = e^{-h/2} that is c (c/2 + m_s m_s'), c = a_s' a_s.  Banded (the state
+    precision plus one block per period) but not guaranteed positive definite
+    away from the mode."""
+    s = np.exp(-0.5 * ex.h)
+    a_s = ex.a * s[:, None, :]
+    m_s = ex.m * s
+    c = a_s.transpose(0, 2, 1) @ a_s
+    score_cov = c * (0.5 * c + m_s[:, :, None] * m_s[:, None, :])
+    return band_add(ex.neg_hq, BandSymMatrix.from_blocks(-score_cov))
+
+
+def em_mode(y, x, draw, h0=None, max_em=100):
+    """Mode of p(h | y, params) by Newton's method on the exact log target
+    log p(y | h) + log p(h), with the EM gradient step (Lange, 1995) as its
+    fallback.
+
+    Each iteration takes the E-step at the current h, which gives the exact
+    score (Fisher's identity) and -H_Q.  The step is the Newton step
+    (-H)^{-1} score on the exact negative Hessian -H of Louis's identity
+    when -H passes the band Cholesky, and the EM gradient step
+    (-H_Q)^{-1} score otherwise; -H_Q is always positive definite, and both
+    steps are ascent directions of the exact target.  The step is halved
+    until that target does not decrease, so the iterates are monotone in it;
+    NumericalError is raised if 40 trial steps find no such point.
+    Converged once an accepted step's norm is below `_EM_TOL`; at most
+    `max_em` iterations.  The target's quadratic form is the residual form
+    of `_log_cond_from_factors`, which stays exact at very negative h, where
+    a spuriously high target would stall the line search.
     """
     y = np.asarray(y, dtype=float)
     n, r = draw.n, draw.r
@@ -259,18 +356,21 @@ def em_mode(y, x, draw, h0=None, max_em=100):
 
     def evaluate(hh):
         # the exact log target and the factors of K it was computed from,
-        # which the next E-step reuses once hh is accepted
+        # which the E-step reuses once hh is accepted
         fp = factor_precision(eps, draw.load, hh)
         lp = log_state_prior(hh, draw.mu, draw.phi, draw.sig2)
-        return _log_cond_from_factors(eps, hh, *fp) + lp, fp
+        return _log_cond_from_factors(eps, draw.load, hh, *fp) + lp, fp
 
     target, fp = evaluate(h)
+    ex = _expand(eps, draw.load, prior, h, *fp[:2])
+    n_newton = 0
     for em_iter in range(1, max_em + 1):
-        _, _, zhat = _estep(eps, draw.load, *fp[:2])
-        h_flat, z_flat = h.ravel(), zhat.ravel()
-        grad = q_gradient(prior, h_flat, z_flat)
-        neg_hq = neg_q_hessian(prior, h_flat, z_flat)
-        step = neg_hq.cholesky().solve(grad).reshape(h.shape)
+        try:
+            factor = _louis_neg_hessian(ex).cholesky()
+            n_newton += 1
+        except NotPositiveDefiniteError:
+            factor = ex.neg_hq.cholesky()
+        step = factor.solve(ex.score).reshape(h.shape)
         for _ in range(40):
             h_try = h + step
             target_try, fp_try = evaluate(h_try)
@@ -281,9 +381,10 @@ def em_mode(y, x, draw, h0=None, max_em=100):
             raise NumericalError(
                 f"no non-decreasing step from log target {target:.10g}"
             )
-        h, target, fp = h_try, target_try, fp_try
+        h, target = h_try, target_try
+        ex = _expand(eps, draw.load, prior, h, *fp_try[:2])
         if np.linalg.norm(step) < _EM_TOL:
-            return EmResult(h, em_iter, em_iter)
+            return EmResult(h, em_iter, n_newton, ex)
     raise MaxIterationsExceededError(f"EM did not converge in {max_em} iterations")
 
 
@@ -291,77 +392,59 @@ def em_mode(y, x, draw, h0=None, max_em=100):
 # Hessian routes
 
 
-def _estep_neg_q_hessian(h_hat, draw, y, x):
-    """The E-step at h_hat and -H_Q there: (h, m, a, -H_Q), m and a as
-    returned by `_estep`."""
-    T = np.asarray(y).shape[0]
-    h = np.asarray(h_hat, dtype=float).reshape(T, draw.n + draw.r)
-    eps = residuals(np.asarray(y, dtype=float), x, draw.beta)
-    prior = StatePriorAssembly.build(draw.mu, draw.phi, draw.sig2, T)
-    c, u, _ = factor_precision(eps, draw.load, h)
-    m, a, zhat = _estep(eps, draw.load, c, u)
-    return h, m, a, neg_q_hessian(prior, h.ravel(), zhat.ravel())
-
-
-def hessian_em(h_hat, draw, y, x):
+def hessian_em(h_hat, draw, y, x, expansion=None):
     """Negative Hessian at the mode from the EM identity
     log p(h | .) = Q(h|h) + H(h|h), keeping only part of the missing
     information: the C^2 term, without the conditional-mean term (C = a'a
     from `_estep`; the sign of W does not enter C^2).  It is not the exact
     Hessian (`hessian_direct` is; at (n,r,T) = (20,3,200) its log det runs
     56-60 nats above the exact one) and need not be positive definite;
-    `importance_density` falls back to -H_Q when its Cholesky fails."""
-    h, _, a, neg_hq = _estep_neg_q_hessian(h_hat, draw, y, x)
+    `importance_density` falls back to -H_Q when its Cholesky fails.
+    `expansion` is the `Expansion` at h_hat if the caller has it
+    (`EmResult.expansion`); it is computed otherwise."""
+    ex = _expansion_at(h_hat, draw, y, x) if expansion is None else expansion
     if draw.r == 0:
-        return neg_hq
-    z = np.exp(-h)[:, :, None] * (a.transpose(0, 2, 1) @ a)
-    neg_hh = 0.5 * z.transpose(0, 2, 1) * (np.eye(h.shape[1]) - z)
-    return band_add(neg_hq, BandSymMatrix.from_blocks(neg_hh))
+        return ex.neg_hq
+    z = np.exp(-ex.h)[:, :, None] * (ex.a.transpose(0, 2, 1) @ ex.a)
+    neg_hh = 0.5 * z.transpose(0, 2, 1) * (np.eye(ex.h.shape[1]) - z)
+    return band_add(ex.neg_hq, BandSymMatrix.from_blocks(neg_hh))
 
 
-def hessian_direct(h_hat, draw, y, x):
+def hessian_direct(h_hat, draw, y, x, expansion=None):
     """Exact negative Hessian of log p(y|h) + log p(h) at any h, from Louis's
-    identity (Louis, 1982): -H_Q minus the covariance of the complete-data
-    score given y and h.  Per period, u = (eps - L f, f) has conditional mean
-    m = (eps - L f-hat, f-hat) and covariance C = W K^{-1} W' = a'a with
-    W = [-L; I], both from `_estep` on the Cholesky factor of K, so that
-    covariance is 1/4 e^{-h_i-h_j} (2 C_ij^2 + 4 m_i m_j C_ij); with r = 0,
-    C = 0 and -H_Q alone is exact.  Banded (the state precision plus one
-    block per period) but not guaranteed positive definite away from the
-    mode."""
-    h, m, a, neg_hq = _estep_neg_q_hessian(h_hat, draw, y, x)
-    c = a.transpose(0, 2, 1) @ a  # (T, n+r, n+r)
-    e = np.exp(-h)
-    mm = m[:, :, None] * m[:, None, :]
-    score_cov = e[:, :, None] * e[:, None, :] * c * (0.5 * c + mm)
-    return band_add(neg_hq, BandSymMatrix.from_blocks(-score_cov))
+    identity (`_louis_neg_hessian`, which the mode search steps with); with
+    r = 0 the score covariance is zero and -H_Q alone is exact.  `expansion`
+    as in `hessian_em`."""
+    if expansion is None:
+        expansion = _expansion_at(h_hat, draw, y, x)
+    return _louis_neg_hessian(expansion)
 
 
 # ---------------------------------------------------------------------------
 # importance density and the likelihood estimator
 
 
-def importance_density(y, x, draw, route="em", max_em=100):
+def importance_density(y, x, draw, route="em"):
     """Gaussian N(h-hat, K_h^{-1}) approximation of p(h | y, params).
 
     Returns (gaussian, em_result, used_fallback): if the chosen route's
     precision fails the Cholesky test, -H_Q alone (always PD) is used and the
-    flag is set.  route is "em" (hessian_em) or "direct" (hessian_direct);
-    `max_em` caps the EM iterations of the mode finding.
+    flag is set.  route is "em" (hessian_em) or "direct" (hessian_direct).
+    Both are built from the E-step that `em_mode` took at its last accepted
+    point.
     """
     builders = {"em": hessian_em, "direct": hessian_direct}
     if route not in builders:
         raise ValueError(f'route must be "em" or "direct", not {route!r}')
-    em = em_mode(y, x, draw, max_em=max_em)
-    kh = builders[route](em.h_hat, draw, y, x)
+    em = em_mode(y, x, draw)
+    kh = builders[route](em.h_hat, draw, y, x, em.expansion)
     fallback = False
     try:
         g = GaussianInPrecisionForm(em.h_hat.ravel(), kh)
         g.factor  # force the factorization
     except NotPositiveDefiniteError:
         fallback = True
-        neg_hq = _estep_neg_q_hessian(em.h_hat, draw, y, x)[-1]
-        g = GaussianInPrecisionForm(em.h_hat.ravel(), neg_hq)
+        g = GaussianInPrecisionForm(em.h_hat.ravel(), em.expansion.neg_hq)
         g.factor
     return g, em, fallback
 

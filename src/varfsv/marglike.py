@@ -34,9 +34,6 @@ _IG_TOL = 1e-12  # |score| at which the inverse-gamma shape Newton stops
 _IG_MAX_ITER = 100
 _R1_INIT = 10  # first inner simulation size of the adaptive estimate
 _TARGET_VAR = 1.0  # variance of the log estimate the inner size aims for
-# Family draws far out in the parameter tails can make the mode finding
-# slow, so the EM cap here is higher than the stand-alone default.
-_EM_CAP = 2000
 
 
 @dataclass
@@ -224,7 +221,7 @@ def adaptive_integrated_likelihood(y, x, draw, rng, r1_cap=640):
     """Integrated-likelihood estimate with the inner simulation size doubled
     from `_R1_INIT` until the variance of the log estimate is at most
     `_TARGET_VAR` or the size reaches `r1_cap`."""
-    g, em, fallback = intlike.importance_density(y, x, draw, max_em=_EM_CAP)
+    g, em, fallback = intlike.importance_density(y, x, draw)
     hs, log_q = g.sample_with_logpdf(rng, _R1_INIT)
     logw = intlike.importance_log_weights(y, x, draw, hs, log_q)
     r1 = _R1_INIT

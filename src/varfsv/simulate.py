@@ -68,6 +68,25 @@ def companion_radius(mats):
     return np.max(np.abs(np.linalg.eigvals(comp)))
 
 
+def real_root_beyond(mats, bound):
+    """True when the companion matrix of (A_1..A_p) has a real eigenvalue
+    beyond +bound or below -bound, so that its spectral radius exceeds bound.
+
+    The companion matrix's characteristic polynomial is
+    chi(s) = det(s^p I - s^{p-1} A_1 - ... - A_p), monic of degree n*p, so
+    chi(s) < 0 at s = bound puts a real root above bound, and
+    (-1)^{np} chi(s) < 0 at s = -bound one below -bound.  Each test is one
+    n x n LU, against an np x np eigenproblem for `companion_radius`; a
+    False answer says nothing.
+    """
+    n, p = mats[0].shape[0], len(mats)
+    for s in (bound, -bound):
+        poly = s**p * np.eye(n) - sum(s ** (p - j) * a for j, a in enumerate(mats, 1))
+        if np.linalg.slogdet(poly)[0] * np.sign(s) ** (n * p) < 0:
+            return True
+    return False
+
+
 def _simulate_sv_paths(cfg, rng, length):
     """Zero-mean AR(1) log-volatility paths started from their stationary
     law."""
@@ -85,17 +104,21 @@ def generate_dataset(cfg, rng=None):
     """Simulate one dataset and its generating parameters.
 
     The VAR coefficient draw is repeated until the companion spectral radius
-    is below `_STABILITY_RADIUS` (the count is reported).  The returned
-    truth folds the theta scaling of the idiosyncratic errors into their
-    log-volatility paths and means, so it is an exact parameter point of the
-    estimated model class.
+    is below `_STABILITY_RADIUS` (the count is reported); draws with a real
+    root beyond it are rejected by `real_root_beyond` before any eigenvalue
+    is computed.  The returned truth folds the theta scaling of the
+    idiosyncratic errors into their log-volatility paths and means, so it is
+    an exact parameter point of the estimated model class.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     n, p, r, T = cfg.n, cfg.p, cfg.r, cfg.T
     a0, mats = draw_var_coefficients(cfg, rng)
     resim = 0
-    while companion_radius(mats) >= _STABILITY_RADIUS:
+    while (
+        real_root_beyond(mats, _STABILITY_RADIUS)
+        or companion_radius(mats) >= _STABILITY_RADIUS
+    ):
         resim += 1
         if resim >= _MAX_RESIMULATIONS:
             raise MaxResimulationsError(

@@ -1,10 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
-from varfsv import gibbs, intlike
+from varfsv import gibbs, intlike, simulate
+from varfsv.bandlin import BandSymMatrix
 from varfsv.exceptions import (
     MaxIterationsExceededError,
     NonStationaryError,
@@ -224,6 +226,30 @@ class TestCondLikelihood:
         ]
         assert np.allclose(batch, single, atol=1e-12)
 
+    @pytest.mark.parametrize("s", [-20.0, -30.0, -40.0, -50.0])
+    def test_exact_at_very_negative_h(self, s):
+        # one idiosyncratic log variance at s in every period; the Woodbury
+        # form eps' Sigma^{-1} eps - |u|^2 loses the quadratic form to
+        # cancellation there (off by 58 nats at s = -40 on these data)
+        n, T = 3, 4
+        load = np.array([[1.0], [0.5], [-0.7]])
+        h = np.zeros((T, n + 1))
+        h[:, 0] = s
+        y = np.random.default_rng(31).standard_normal((T, n))
+        got = intlike.log_cond_likelihood(y, np.ones((T, 1)), np.zeros(n), load, h)
+        with mpmath.workdps(60):
+            lm = mpmath.matrix(load.tolist())
+            want = mpmath.mpf(0)
+            for t in range(T):
+                cov = lm * lm.T
+                for i in range(n):
+                    cov[i, i] += mpmath.exp(mpmath.mpf(h[t, i]))
+                yt = mpmath.matrix(y[t].tolist())
+                quad = (yt.T * mpmath.lu_solve(cov, yt))[0]
+                logdet = mpmath.log(mpmath.det(cov))
+                want -= (n * mpmath.log(2 * mpmath.pi) + logdet + quad) / 2
+        assert abs(got - float(want)) <= 1e-6
+
 
 class TestEmMode:
     def test_r0_mode_matches_per_series_optimizer(self):
@@ -327,6 +353,37 @@ class TestEmMode:
         monkeypatch.setattr(intlike, "q_gradient", lambda *a: -score(*a))
         with pytest.raises(NumericalError, match="non-decreasing"):
             intlike.em_mode(y, x, draw, h0=np.full((8, 4), 2.0))
+
+    def test_non_pd_exact_hessian_falls_back_to_em_gradient_step(self, monkeypatch):
+        # every exact Hessian fails the band Cholesky, so every step is the
+        # -H_Q step, and the search must still reach the mode
+        n, r, T = 3, 1, 6
+        rng = np.random.default_rng(20)
+        y, x, draw = make_problem(rng, n=n, r=r, T=T)
+        monkeypatch.setattr(
+            intlike, "_louis_neg_hessian", lambda ex: BandSymMatrix(-ex.neg_hq.bands)
+        )
+        res = intlike.em_mode(y, x, draw)
+        assert res.n_newton_steps < res.n_em_iters
+
+        def neg_target(hflat):
+            hc = hflat.reshape(T, n + r)
+            return -intlike.log_cond_likelihood(
+                y, x, draw.beta, draw.load, hc
+            ) - intlike.log_state_prior(hc, draw.mu, draw.phi, draw.sig2)
+
+        start = np.tile(np.concatenate([draw.mu, np.zeros(r)]), T)
+        sol = optimize.minimize(neg_target, start, method="BFGS", tol=1e-12)
+        assert np.allclose(res.h_hat.ravel(), sol.x, atol=2e-4)
+
+    def test_iterations_bounded_at_design_size(self):
+        # (n, p, r, T) = (20, 2, 3, 200) at the truth: the EM gradient step
+        # alone took 27 iterations here
+        cfg = simulate.DgpConfig(n=20, p=2, r=3, T=200, seed=1)
+        bundle = simulate.generate_dataset(cfg)
+        res = intlike.em_mode(bundle.y, bundle.x, bundle.truth)
+        assert res.n_em_iters <= 15
+        assert res.n_newton_steps == res.n_em_iters
 
 
 class TestHessians:
@@ -503,6 +560,32 @@ class TestIntegratedLikelihood:
         hp = hp.reshape(64, -1)
         got = intlike.integrated_likelihood_from_draws(yp, xp, dp, hp, gp.logpdf(hp))
         assert got.log_value == pytest.approx(base.log_value, abs=1e-8)
+
+    @pytest.mark.parametrize("route", ["em", "direct"])
+    @pytest.mark.parametrize("pd", [True, False])
+    def test_importance_density_reuses_mode_search_factors(self, monkeypatch, route, pd):
+        # K_t is factored only for the mode search's targets: the Hessian and
+        # the -H_Q fallback come from the E-step at the last accepted point
+        rng = np.random.default_rng(24)
+        y, x, draw = make_problem(rng, n=3, r=2, T=6)
+        calls = {"factor_precision": 0, "log_state_prior": 0}
+        for name in calls:
+            fn = getattr(intlike, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(intlike, name, counted)
+        if not pd:
+            monkeypatch.setattr(
+                intlike, f"hessian_{route}",
+                lambda h, d, yy, xx, ex: BandSymMatrix(-ex.neg_hq.bands),
+            )
+        g, em, fallback = intlike.importance_density(y, x, draw, route=route)
+        assert fallback is not pd
+        assert calls["factor_precision"] == calls["log_state_prior"] > 1
+        assert np.array_equal(g.mean, em.h_hat.ravel())
 
     @pytest.mark.parametrize("route", ["EM", "dense", None])
     def test_unknown_route_raises(self, route):
