@@ -185,12 +185,6 @@ class BandCholeskyFactor:
             raise DimensionMismatchError("right-hand side does not match dim")
         return scipy.linalg.cho_solve_banded((self.bands, True), b, check_finite=False)
 
-    def solve_lower(self, b):
-        """G x = b (forward substitution)."""
-        return scipy.linalg.solve_banded(
-            (self.bandwidth, 0), self.bands, b, check_finite=False
-        )
-
     def solve_upper(self, b):
         """G' x = b (back substitution); the sampling backsolve."""
         return scipy.linalg.solve_banded(

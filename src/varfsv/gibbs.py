@@ -2,12 +2,13 @@
 
 Sweep order: latent factors (one Cholesky per period), VAR coefficients and
 loadings (all equations in one block with one Cholesky each, loadings
-truncated to the sign restrictions), log-volatility paths (auxiliary mixture
-sampler with a tridiagonal precision sampler), innovation variances
-(inverse-gamma), log-volatility means (normal), and AR coefficients
-(independence-chain Metropolis-Hastings).  The SV parameters of different
-series are conditionally independent given the paths, so each of the last
-three steps draws all series at once.
+truncated to the sign restrictions by one accept-reject pass over all
+sign-restricted equations), log-volatility paths (auxiliary mixture sampler,
+one LDL' factorization of the tridiagonal precision and one solve per scan),
+innovation variances (inverse-gamma), log-volatility means (normal), and AR
+coefficients (independence-chain Metropolis-Hastings).  The SV parameters of
+different series are conditionally independent given the paths, so each of
+the last three steps draws all series at once.
 
 Each block consumes randomness from its own spawned stream, so chain output
 is bit-reproducible from the seed and invariant to the internal ordering of
@@ -23,7 +24,12 @@ from scipy.linalg import lapack
 
 from . import tmvn
 from .bandlin import BandSymMatrix
-from .exceptions import ConfigError, NumericalError, TruncationFailureError
+from .exceptions import (
+    ConfigError,
+    NotPositiveDefiniteError,
+    NumericalError,
+    TruncationFailureError,
+)
 from .intlike import ar1_precision_diagonals, factor_precision, residuals, tri_solve
 from .model import (
     FREE,
@@ -190,10 +196,13 @@ def sample_beta_loadings(y, x, xx, fmat, h, beta_mean, beta_var, load_mean,
     Zero-restricted loadings are decoupled unit coordinates (no cross terms,
     zero right-hand side), drawn unbounded and set to exactly 0 at the end.
     Sign-restricted loadings are drawn first from their marginal
-    N(l_hat = L22'^{-1} u_l, (L22 L22')^{-1}), L22 = L[k:, k:], by
-    accept-reject through the root L22'^{-1}, or by a box-Gibbs update from
-    the current `load` when no proposal is inside; z_l = L22'(l - l_hat) then
-    gives beta its exact conditional.  Equation i draws only from `rngs[i]`."""
+    N(l_hat = L22'^{-1} u_l, (L22 L22')^{-1}), L22 = L[k:, k:], by one
+    accept-reject pass over all sign-restricted equations through the roots
+    L22'^{-1}, or by a box-Gibbs update from the current `load` for an
+    equation none of whose proposals is inside.  beta then takes its exact
+    conditional from z_l = L22'(l - l_hat), which for an accepted proposal is
+    that proposal's own normal vector.  Equation i draws only from `rngs[i]`:
+    one proposal, the batch only on a miss, the box, then k normals."""
     (T, n), k, r = y.shape, x.shape[1], fmat.shape[1]
     m = k + r
     keep = np.concatenate([np.ones((n, k), bool), codes != ZERO], axis=1)
@@ -216,32 +225,45 @@ def sample_beta_loadings(y, x, xx, fmat, h, beta_mean, beta_var, load_mean,
     # twice that keeps rounding in |u|^2 from ever reaching it
     a[:, m, m] = 2.0 * (np.sum(wy * y.T, axis=1) + np.sum(theta0**2 / var0, axis=1)) + 1.0
 
-    signed = np.any((codes == POS) | (codes == NEG), axis=1)
-    lb, ub = sign_bounds(codes)
+    is_signed = np.any((codes == POS) | (codes == NEG), axis=1)
     beta = np.empty((n, k))
     out = np.empty((n, r))
+    chol = {}  # factors of the sign-restricted equations, drawn after the pass
     for i, rng in enumerate(rngs):
-        chol, info = lapack.dpotrf(a[i], lower=1)
+        c, info = lapack.dpotrf(a[i], lower=1)
         if info != 0:
             raise NumericalError(f"equation {i} posterior precision not PD")
-        fac = chol[:m, :m]
-        u = chol[m, :m]
-        if signed[i]:
-            l22 = fac[k:, k:]
-            root = lapack.dtrtrs(l22, np.eye(r), lower=1, trans=1)[0]
-            l_hat = root @ u[k:]
-            l_draw = tmvn.TruncatedMVN(l_hat, root, lb[i], ub[i]).sample_one(rng)
-            if l_draw is None:
-                if not np.all((load[i] > lb[i]) & (load[i] < ub[i])):
-                    raise TruncationFailureError("no feasible start in the loading orthant")
-                l_draw = tmvn.gibbs_sample_box(rng, l_hat, l22 @ l22.T, lb[i], ub[i], load[i])
-            z = np.concatenate([rng.standard_normal(k), l22.T @ (l_draw - l_hat)])
-        else:
-            z = np.zeros(m)
-            z[keep[i]] = rng.standard_normal(np.count_nonzero(keep[i]))
-        theta = lapack.dtrtrs(fac, u + z, lower=1, trans=1)[0]
+        if is_signed[i]:
+            chol[i] = c
+            continue
+        z = np.zeros(m)
+        z[keep[i]] = rng.standard_normal(np.count_nonzero(keep[i]))
+        theta = lapack.dtrtrs(c[:m, :m], c[m, :m] + z, lower=1, trans=1)[0]
         beta[i] = theta[:k]
-        out[i] = l_draw if signed[i] else theta[k:]
+        out[i] = theta[k:]
+    if chol:
+        signed = np.flatnonzero(is_signed)
+        # rows k..m-1 of the last r columns are L22, row m is u_l
+        blk = np.array([chol[i][k:, k:m] for i in signed])
+        l22, u_l = blk[:, :r], blk[:, r]
+        l_hat = tri_solve(l22, u_l, trans=True)
+        root = tri_solve(l22, np.broadcast_to(np.eye(r), l22.shape), trans=True)
+        lb, ub = sign_bounds(codes[signed])
+        l_draw, z_l = tmvn.TruncatedMVN(l_hat, root, lb, ub).sample_one(
+            [rngs[i] for i in signed]
+        )
+        for j, i in enumerate(signed):
+            if np.isnan(l_draw[j, 0]):
+                if not np.all((load[i] > lb[j]) & (load[i] < ub[j])):
+                    raise TruncationFailureError("no feasible start in the loading orthant")
+                l_draw[j] = tmvn.gibbs_sample_box(
+                    rngs[i], l_hat[j], l22[j] @ l22[j].T, lb[j], ub[j], load[i]
+                )
+                z_l[j] = l22[j].T @ (l_draw[j] - l_hat[j])
+            z = np.concatenate([rngs[i].standard_normal(k), z_l[j]])
+            theta = lapack.dtrtrs(chol[i][:m, :m], chol[i][m, :m] + z, lower=1, trans=1)[0]
+            beta[i] = theta[:k]
+        out[signed] = l_draw
     return beta, np.where(keep[:, k:], out, 0.0)
 
 
@@ -267,20 +289,28 @@ def _mixture_indicators(ystar, h, rng):
 def _stacked_sv_draw(ystar, h_current, means, phi, sig2, rng):
     """One scan of the volatility block: mixture indicators drawn from their
     exact conditional given the current paths, then all paths jointly from
-    the resulting linear-Gaussian model via a single banded precision sampler
-    over the series-stacked system (independent tridiagonal blocks)."""
+    the resulting linear-Gaussian model.  Stacked series by series, its
+    precision P is tridiagonal.  One LDL' factorization P = L D L' gives the
+    Cholesky factor G = L D^{1/2}, and the draw mean + G'^{-1} z equals
+    P^{-1}(rhs + G z), so a single solve gives it (the precision sampler of
+    Chan & Jeliazkov, 2009)."""
     T, d = ystar.shape
     s = _mixture_indicators(ystar, h_current, rng)
     # series-major stacking: series i occupies [i*T, (i+1)*T)
     obs = (ystar - _MIX_MEAN[s]).T.ravel()
     obs_prec = (1.0 / _MIX_VAR[s]).T.ravel()
     prior = _series_major_prior(phi, sig2, T)
-    prior_mean = np.repeat(means, T)
-    post = prior.add_diagonal(obs_prec)
-    rhs = prior.matvec(prior_mean) + obs_prec * obs
-    factor = post.cholesky()
-    mean = factor.solve(rhs)
-    return (mean + factor.solve_upper(rng.standard_normal(d * T))).reshape(d, T).T
+    rhs = prior.matvec(np.repeat(means, T)) + obs_prec * obs
+    # at T = 1 the series are uncoupled; LAPACK takes one off-diagonal entry
+    # even for a 1 x 1 matrix
+    lag = prior.bands[1, :-1] if T > 1 else np.zeros(max(d - 1, 1))
+    piv, low, info = lapack.dpttrf(prior.bands[0] + obs_prec, lag)
+    if info != 0 or not np.all((piv > 0) & (piv < np.inf)):
+        raise NotPositiveDefiniteError("volatility precision not positive definite")
+    # G z: sqrt(D) z, plus the unit lower bidiagonal L's one band below
+    gz = np.sqrt(piv) * rng.standard_normal(d * T)
+    gz[1:] += low[: d * T - 1] * gz[:-1]
+    return lapack.dpttrs(piv, low, rhs + gz)[0].reshape(d, T).T
 
 
 def _series_major_prior(phi, sig2, T):

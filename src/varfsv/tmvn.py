@@ -1,9 +1,11 @@
 """Truncated multivariate normal sampling.
 
 `TruncatedMVN` is exact accept-reject from the untruncated normal, proposed
-through a square root of its covariance.  The sign regions of the Gibbs
-sampler's loadings hold most of their conditional's mass, so one point is
-proposed first and a batch only after a miss; the first inside is returned.
+through a square root of its covariance, for a batch of independent rows
+(one per sign-restricted equation of the Gibbs sampler), each drawing from
+its own stream.  The sign regions hold most of their conditional's mass, so
+every row proposes one point, all rows are checked in one comparison, and
+only the rows that missed propose a batch; the first inside is returned.
 
 A coordinate-wise Gibbs kernel over the box is provided as a fallback for
 regions so improbable that a batch holds no accepted proposal; started from
@@ -109,13 +111,14 @@ def _norm_reject(rng, lb, ub):
 
 
 class TruncatedMVN:
-    """Accept-reject sampler for X ~ N(mean, root root') restricted to the box
-    lb < X < ub.
+    """Accept-reject sampler for s independent rows X_j ~ N(mean_j, root_j
+    root_j') of length r, each restricted to its own box lb_j < X_j < ub_j.
 
-    Proposals are mean + root z with z standard normal, so `root` is any
-    square root of the covariance (a Cholesky factor, or the inverse
-    transpose of a precision's); `ready` is False when it is not finite, in
-    which case callers should use the Gibbs fallback.
+    `mean`, `lb` and `ub` are (s, r) and `root` is (s, r, r).  Proposals are
+    mean_j + root_j z with z standard normal, so `root_j` is any square root
+    of the covariance (a Cholesky factor, or the inverse transpose of a
+    precision's).  `ready` is False when some root is not finite; those rows
+    propose nothing, and callers take the Gibbs fallback for them.
     """
 
     def __init__(self, mean, root, lb, ub):
@@ -127,22 +130,33 @@ class TruncatedMVN:
             raise ValueError("need lb < ub in every coordinate")
         self.ready = bool(np.all(np.isfinite(self.root)))
 
-    def _propose(self, rng, n):
-        # n untruncated draws, one per row
-        z = rng.standard_normal((n, len(self.mean)))
-        return self.mean + z @ self.root.T
+    def _propose(self, rngs, n, rows):
+        # n untruncated draws for each of `rows`, row j's normals from rngs[j]:
+        # the normals and the points, both (len(rows), n, r)
+        z = np.stack([rngs[j].standard_normal((n, self.mean.shape[1])) for j in rows])
+        return z, self.mean[rows, None] + z @ self.root[rows].transpose(0, 2, 1)
 
-    def sample_one(self, rng, max_proposals=100):
-        """One exact draw: the first of at most `max_proposals` proposals
-        strictly inside the box (one, then the rest if it missed), or None."""
-        if not self.ready or max_proposals < 1:
-            return None
-        for n in (1, max_proposals - 1):
-            x = self._propose(rng, n)
-            inside = np.flatnonzero(np.all((x > self.lb) & (x < self.ub), axis=1))
-            if inside.size:
-                return x[inside[0]]
-        return None
+    def sample_one(self, rngs, max_proposals=100):
+        """One exact draw per row, row j drawing only from `rngs[j]`: the first
+        of at most `max_proposals` proposals strictly inside its box.  Every
+        row proposes one point, and only the rows that missed propose the
+        other `max_proposals - 1`.  Returns the (s, r) draws and the normals z
+        that gave them (draw = mean + root z); rows with no proposal inside
+        are NaN in both."""
+        x = np.full(self.mean.shape, np.nan)
+        z = np.full(self.mean.shape, np.nan)
+        rows = np.flatnonzero(np.all(np.isfinite(self.root), axis=(1, 2)))
+        for n in (min(1, max_proposals), max_proposals - 1):
+            if n < 1 or not rows.size:
+                break
+            zs, xs = self._propose(rngs, n, rows)
+            inside = np.all((xs > self.lb[rows, None]) & (xs < self.ub[rows, None]), axis=2)
+            hit = np.any(inside, axis=1)
+            first = np.argmax(inside[hit], axis=1)
+            x[rows[hit]] = xs[hit, first]
+            z[rows[hit]] = zs[hit, first]
+            rows = rows[~hit]
+        return x, z
 
 
 def gibbs_sample_box(rng, mean, precision, lb, ub, x0, sweeps=5):

@@ -220,7 +220,6 @@ def test_factor_solve_upper_is_transpose_solve():
     dense = np.linalg.cholesky(a)
     z = rng.standard_normal(15)
     assert np.allclose(f.solve_upper(z), np.linalg.solve(dense.T, z), atol=1e-12)
-    assert np.allclose(f.solve_lower(z), np.linalg.solve(dense, z), atol=1e-12)
 
 
 def _rel_close(got, want, rtol=1e-10):
@@ -260,7 +259,6 @@ def test_band_routines_match_dense_algebra(dim, data):
     bmat = rng.standard_normal((dim, 3))
     _rel_close(f.solve(b), np.linalg.solve(a, b))
     _rel_close(f.solve(bmat), np.linalg.solve(a, bmat))
-    _rel_close(f.solve_lower(b), np.linalg.solve(dense_chol, b))
     _rel_close(f.solve_upper(b), np.linalg.solve(dense_chol.T, b))
 
     xs = rng.standard_normal((4, dim))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
@@ -351,6 +352,70 @@ class TestSampleBetaLoadings:
             mcse = np.sqrt(mine.var(axis=0) / draws + keep.var(axis=0) / len(keep))
             assert np.all(np.abs(mine.mean(axis=0) - keep.mean(axis=0)) < 4 * mcse)
 
+    def test_batched_accept_reject_matches_one_equation_calls(self, monkeypatch):
+        # loadings nearly a priori: one orthant holds almost all of its
+        # conditional, one about 30% (first coordinate 0.52 sd out), and one
+        # is 4 sd out as in the improbable-orthant test above
+        codes = np.array([[POS, NEG], [POS, FREE], [POS, FREE]], dtype=np.int8)
+        rng = np.random.default_rng(40)
+        T, n = 5, 3
+        x = np.ones((T, 1))
+        fmat = 0.2 * rng.standard_normal((T, 2))
+        y = 0.2 * rng.standard_normal((T, n))
+        h = np.zeros((T, n))
+        bm, bv = np.zeros((n, 1)), np.full((n, 1), 1e6)
+        lm = np.array([[3.0, -3.0], [-0.26, 0.0], [-2.0, 0.0]])
+        lv = np.full((n, 2), 0.25)
+        load = np.array([[1.0, -1.0], [1.0, 0.0], [1.0, 0.0]])
+        xx = gibbs.x_products(x)
+
+        proposals, boxes = [], []
+        propose, box = gibbs.tmvn.TruncatedMVN._propose, gibbs.tmvn.gibbs_sample_box
+
+        def counting_propose(self, rngs, size, rows):
+            proposals.append((size, tuple(rows)))
+            return propose(self, rngs, size, rows)
+
+        def counting_box(*args, **kwargs):
+            boxes.append(1)
+            return box(*args, **kwargs)
+
+        monkeypatch.setattr(gibbs.tmvn.TruncatedMVN, "_propose", counting_propose)
+        monkeypatch.setattr(gibbs.tmvn, "gibbs_sample_box", counting_box)
+        joint = [np.random.default_rng(400 + i) for i in range(n)]
+        alone = [np.random.default_rng(400 + i) for i in range(n)]
+        batched_rows = []
+        for _ in range(30):
+            proposals.clear()
+            boxes.clear()
+            beta, out = gibbs.sample_beta_loadings(
+                y, x, xx, fmat, h, bm, bv, lm, lv, codes, load, joint
+            )
+            # one proposal for every row, then one batch for the rows that missed
+            assert proposals[0] == (1, (0, 1, 2))
+            assert all(size == 99 for size, _ in proposals[1:]) and len(proposals) <= 2
+            batch = proposals[1][1] if len(proposals) == 2 else ()
+            assert len(boxes) == 1
+            missed = []
+            for i in range(n):
+                proposals.clear()
+                boxes.clear()
+                b_i, l_i = draw_equation(
+                    y[:, i], x, fmat, h[:, i], bm[i], bv[i], lm[i], lv[i], codes[i],
+                    load[i], alone[i], xx,
+                )
+                assert np.allclose(beta[i], b_i, rtol=0, atol=1e-12)
+                assert np.allclose(out[i], l_i, rtol=0, atol=1e-12)
+                if len(proposals) == 2:
+                    missed.append(i)
+                assert len(boxes) == (i == 2)
+            assert batch == tuple(missed)
+            batched_rows.append(batch)
+            load = out
+        assert not any(0 in b for b in batched_rows)
+        assert 5 < sum(1 in b for b in batched_rows) < 30
+        assert all(2 in b for b in batched_rows)
+
     def test_precision_not_pd_raises_numerical_error(self):
         codes = np.array([[POS], [FREE], [NEG]], dtype=np.int8)
         y, x, fmat, h, bm, bv, lm, lv, load = self._block_inputs(
@@ -478,6 +543,59 @@ class TestVolatilityPath:
             draws[i] = h
         mcse = draws.std(axis=0) / np.sqrt(len(draws) / 8)  # autocorrelation slack
         assert np.all(np.abs(draws.mean(axis=0) - want) < 4 * mcse + 0.01)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("T", [1, 2, 7])
+    def test_draw_matches_dense_precision_sampler(self, monkeypatch, d, T):
+        # with the indicators s and the normals z fixed, the path is
+        # P^{-1} rhs + chol(P)'^{-1} z for the dense posterior precision P of
+        # the series-major stack, prior part inverted from the stationary
+        # AR(1) covariances
+        rng = np.random.default_rng(10 * d + T)
+        ystar = rng.normal(-1.0, 2.0, (T, d))
+        means = rng.normal(0.0, 1.0, d)
+        phi = rng.uniform(-0.9, 0.9, d)
+        sig2 = rng.uniform(0.02, 0.5, d)
+        s = rng.integers(0, 7, (T, d))
+        monkeypatch.setattr(gibbs, "_mixture_indicators", lambda ystar, h, rng: s)
+        got = gibbs._stacked_sv_draw(
+            ystar, np.zeros((T, d)), means, phi, sig2, np.random.default_rng(31)
+        )
+        z = np.random.default_rng(31).standard_normal(d * T)
+        lags = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
+        prior = scipy.linalg.block_diag(*[
+            np.linalg.inv(sig2[i] / (1.0 - phi[i] ** 2) * phi[i] ** lags) for i in range(d)
+        ])
+        obs_prec = 1.0 / gibbs._MIX_VAR[s].T.ravel()
+        prec = prior + np.diag(obs_prec)
+        rhs = prior @ np.repeat(means, T) + obs_prec * (ystar - gibbs._MIX_MEAN[s]).T.ravel()
+        want = np.linalg.solve(prec, rhs) + np.linalg.solve(np.linalg.cholesky(prec).T, z)
+        assert got.shape == (T, d)
+        err = np.max(np.abs(got.T.ravel() - want))
+        assert err <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.05])
+    def test_precision_not_pd_raises(self, bad):
+        # a non-finite prior precision, or a negative one that the
+        # observations cannot outweigh, gives a bad LDL' pivot
+        rng = np.random.default_rng(32)
+        T, d = 6, 2
+        with pytest.raises(NotPositiveDefiniteError, match="volatility precision"):
+            gibbs._stacked_sv_draw(
+                rng.normal(-1.0, 2.0, (T, d)), np.zeros((T, d)), np.zeros(d),
+                np.full(d, 0.5), np.array([0.1, bad]), rng,
+            )
+
+    def test_run_chain_prefixes_volatility_failure(self, monkeypatch):
+        # sweep 0 leaves non-finite innovation variances; sweep 1's volatility
+        # block then raises, and run_chain names the sweep
+        monkeypatch.setattr(
+            gibbs, "sample_sigma2", lambda h, *args: np.full(h.shape[1], np.nan)
+        )
+        y, x, spec = tiny_spec(np.random.default_rng(33), n=3, T=25)
+        settings = gibbs.McmcSettings(burn_in=2, draws=2, seed=1)
+        with pytest.raises(NotPositiveDefiniteError, match=r"^sweep 1: volatility precision"):
+            gibbs.run_chain(y, x, spec, settings, reduced_form=True)
 
     def test_same_inputs_same_seed_same_path(self):
         z = np.random.default_rng(7).standard_normal(40)

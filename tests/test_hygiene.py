@@ -63,6 +63,6 @@ def test_bench_tracer_targets_and_hooks_run():
         intlike.em_mode(y, x, draw)
     calls = {name: c for name, (c, _, _) in t.totals().items()}
     assert calls["gibbs.run_chain"] == 1 and calls["intlike.em_mode"] == 1
-    assert calls["tmvn.TruncatedMVN.__init__"] == 4 * 2
+    assert calls["tmvn.TruncatedMVN.__init__"] == 4  # one sampler per sweep
     assert t.counts["tmvn.proposals"] >= calls["tmvn.TruncatedMVN.sample_one"]
     assert t.counts["intlike.em_iters"] >= 1

@@ -5,6 +5,17 @@ from scipy import stats
 from varfsv.tmvn import TruncatedMVN, gibbs_sample_box, ln_normal_prob, trandn
 
 
+def one_row(mean, root, lb, ub):
+    """A sampler holding one row, as for a single sign-restricted equation."""
+    return TruncatedMVN(*(np.asarray(a, dtype=float)[None] for a in (mean, root, lb, ub)))
+
+
+def draw(tm, rng, **kwargs):
+    """The one row's draw from `rng`, or None when no proposal was inside."""
+    x, _ = tm.sample_one([rng], **kwargs)
+    return None if np.isnan(x[0, 0]) else x[0]
+
+
 def test_ln_normal_prob_matches_scipy():
     a = np.array([-np.inf, -1.0, 0.0, 2.0, 5.0, -np.inf])
     b = np.array([np.inf, 1.0, np.inf, 3.0, 7.0, -4.0])
@@ -29,10 +40,10 @@ def test_trandn_far_tail():
 
 
 def test_univariate_positive_truncation():
-    tm = TruncatedMVN(np.zeros(1), np.linalg.cholesky(np.ones((1, 1))), np.zeros(1),
-                      np.full(1, np.inf))
+    tm = one_row(np.zeros(1), np.linalg.cholesky(np.ones((1, 1))), np.zeros(1),
+                 np.full(1, np.inf))
     rng = np.random.default_rng(2)
-    draws = np.concatenate([tm.sample_one(rng) for _ in range(100_000)])
+    draws = np.concatenate([draw(tm, rng) for _ in range(100_000)])
     assert np.all(draws > 0)
     assert draws.mean() == pytest.approx(np.sqrt(2 / np.pi), abs=0.01)
 
@@ -42,9 +53,9 @@ def test_correlated_orthant_matches_rejection_oracle():
     mean = np.array([0.3, -0.2])
     lb = np.array([0.0, -np.inf])
     ub = np.array([np.inf, 0.0])
-    tm = TruncatedMVN(mean, np.linalg.cholesky(cov), lb.copy(), ub.copy())
+    tm = one_row(mean, np.linalg.cholesky(cov), lb.copy(), ub.copy())
     rng = np.random.default_rng(3)
-    draws = np.array([tm.sample_one(rng) for _ in range(40_000)])
+    draws = np.array([draw(tm, rng) for _ in range(40_000)])
     assert np.all(draws[:, 0] > 0) and np.all(draws[:, 1] < 0)
 
     # brute-force rejection oracle
@@ -59,10 +70,10 @@ def test_low_probability_orthant_returns_none():
     # region roughly 4 sigma out in each of 3 coordinates: a batch of plain
     # proposals essentially never hits it, and the caller falls back to Gibbs
     mean = np.array([-4.0, -4.0, -4.0])
-    tm = TruncatedMVN(mean, np.linalg.cholesky(np.eye(3)), np.zeros(3), np.full(3, np.inf))
+    tm = one_row(mean, np.linalg.cholesky(np.eye(3)), np.zeros(3), np.full(3, np.inf))
     rng = np.random.default_rng(5)
     assert tm.ready
-    assert tm.sample_one(rng) is None
+    assert draw(tm, rng) is None
 
 
 def test_non_finite_root_not_ready():
@@ -70,9 +81,9 @@ def test_non_finite_root_not_ready():
     # the root; the caller then takes the box-Gibbs fallback
     for bad in (np.nan, np.inf):
         root = np.array([[1.0, 0.0], [bad, 1.0]])
-        tm = TruncatedMVN(np.zeros(2), root, np.zeros(2), np.full(2, np.inf))
+        tm = one_row(np.zeros(2), root, np.zeros(2), np.full(2, np.inf))
         assert not tm.ready
-        assert tm.sample_one(np.random.default_rng(9)) is None
+        assert draw(tm, np.random.default_rng(9)) is None
 
 
 def _count_proposals(monkeypatch):
@@ -80,9 +91,9 @@ def _count_proposals(monkeypatch):
     sizes = []
     propose = TruncatedMVN._propose
 
-    def counting(self, rng, n):
+    def counting(self, rngs, n, rows):
         sizes.append(n)
-        return propose(self, rng, n)
+        return propose(self, rngs, n, rows)
 
     monkeypatch.setattr(TruncatedMVN, "_propose", counting)
     return sizes
@@ -94,10 +105,10 @@ def test_half_accepted_orthant_uses_both_paths_and_matches_oracle(monkeypatch):
     cov = np.array([[1.0, 0.5], [0.5, 1.5]])
     mean = np.array([0.2, 0.1])
     lb, ub = np.zeros(2), np.full(2, np.inf)
-    tm = TruncatedMVN(mean, np.linalg.cholesky(cov), lb, ub)
+    tm = one_row(mean, np.linalg.cholesky(cov), lb, ub)
     sizes = _count_proposals(monkeypatch)
     rng = np.random.default_rng(10)
-    draws = np.array([tm.sample_one(rng) for _ in range(40_000)])
+    draws = np.array([draw(tm, rng) for _ in range(40_000)])
     assert np.all(draws > 0)
     # every call proposes one point, and a batch of 99 only after a miss
     batches = sizes.count(99)
@@ -118,11 +129,11 @@ def test_sample_one_never_exceeds_max_proposals(monkeypatch, max_proposals):
     sizes = _count_proposals(monkeypatch)
     rng = np.random.default_rng(12)
     for mean in (np.full(3, -1.5), np.zeros(1)):
-        tm = TruncatedMVN(mean, np.eye(len(mean)), np.zeros(len(mean)),
-                          np.full(len(mean), np.inf))
+        tm = one_row(mean, np.eye(len(mean)), np.zeros(len(mean)),
+                     np.full(len(mean), np.inf))
         for _ in range(200):
             sizes.clear()
-            tm.sample_one(rng, max_proposals=max_proposals)
+            draw(tm, rng, max_proposals=max_proposals)
             assert sum(sizes) <= max_proposals
 
 
@@ -145,7 +156,7 @@ def test_gibbs_sample_box_moments():
 
 
 def test_sample_one_exhausts_proposals_gracefully():
-    tm = TruncatedMVN(np.zeros(2), np.eye(2), np.zeros(2), np.full(2, np.inf))
+    tm = one_row(np.zeros(2), np.eye(2), np.zeros(2), np.full(2, np.inf))
     rng = np.random.default_rng(8)
     # with max_proposals=0 nothing can be accepted
-    assert tm.sample_one(rng, max_proposals=0) is None
+    assert draw(tm, rng, max_proposals=0) is None
