@@ -1,9 +1,12 @@
 """Banded symmetric linear algebra.
 
-Every sampler and likelihood evaluation in the package runs through the
-routines here: Cholesky factorization of a symmetric positive-definite band
-matrix, triangular solves, log-determinants, and exact Gaussian sampling from
-a distribution specified by its (banded) precision matrix.
+Cholesky factorization of a symmetric positive-definite band matrix,
+triangular solves, log-determinants, and exact Gaussian sampling from a
+distribution specified by its (banded) precision matrix.  The integrated
+likelihood's mode search and importance density run through these routines.
+The Gibbs sampler uses the band matrix for its volatility prior only: its
+volatility draw factors a tridiagonal precision by LAPACK `dpttrf`, and its
+factor draw solves the r x r per-period systems by `intlike.tri_solve`.
 
 Storage follows scipy's lower diagonal-ordered form: ``bands[d, j]`` holds
 entry ``(j + d, j)`` of the matrix, so row 0 is the main diagonal and row
@@ -21,11 +24,14 @@ import scipy.linalg
 
 from .exceptions import DimensionMismatchError, NotPositiveDefiniteError
 
+# smallest block side of `BandCholeskyFactor.solve_upper`: at a narrow band,
+# blocks only as wide as the band would take one Python-level step per column
+_MIN_BLOCK = 8
+
 __all__ = [
     "BandSymMatrix",
     "BandCholeskyFactor",
     "GaussianInPrecisionForm",
-    "band_add",
 ]
 
 
@@ -79,20 +85,6 @@ class BandSymMatrix:
             bands[d, : n - d] = np.diagonal(a, -d)
         return cls(bands)
 
-    @classmethod
-    def from_blocks(cls, blocks):
-        """Block-diagonal matrix from a (T, D, D) stack of symmetric blocks."""
-        blocks = np.asarray(blocks, dtype=float)
-        nblocks, d, d2 = blocks.shape
-        if d != d2:
-            raise DimensionMismatchError("blocks must be square")
-        dim = nblocks * d
-        bands = np.zeros((d, dim))
-        for off in range(d):
-            sub = np.diagonal(blocks, offset=-off, axis1=1, axis2=2)  # (T, d-off)
-            bands[off].reshape(nblocks, d)[:, : d - off] = sub
-        return cls(bands)
-
     def to_dense(self):
         n = self.dim
         a = np.zeros((n, n))
@@ -140,17 +132,6 @@ class BandSymMatrix:
         return BandCholeskyFactor(c)
 
 
-def band_add(a, b):
-    """Sum of two band matrices; the result takes the wider bandwidth."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("dimensions differ")
-    if a.bandwidth < b.bandwidth:
-        a, b = b, a
-    bands = a.bands.copy()
-    bands[: b.bandwidth + 1] += b.bands
-    return BandSymMatrix(bands)
-
-
 @dataclass(frozen=True)
 class BandCholeskyFactor:
     """Lower-banded Cholesky factor, same storage layout as BandSymMatrix."""
@@ -170,14 +151,6 @@ class BandCholeskyFactor:
         """Log-determinant of the *factored* matrix A = G G'."""
         return 2.0 * float(np.sum(np.log(self.bands[0])))
 
-    def _upper_form(self):
-        # G' in scipy's (u, l) = (bw, 0) banded form for solve_banded
-        bw, n = self.bandwidth, self.dim
-        ab = np.zeros((bw + 1, n))
-        for d in range(bw + 1):
-            ab[bw - d, d:] = self.bands[d, : n - d]
-        return ab
-
     def solve(self, b):
         """A^{-1} b for the factored matrix A; b may be (dim,) or (dim, k)."""
         b = np.asarray(b, dtype=float)
@@ -186,10 +159,60 @@ class BandCholeskyFactor:
         return scipy.linalg.cho_solve_banded((self.bands, True), b, check_finite=False)
 
     def solve_upper(self, b):
-        """G' x = b (back substitution); the sampling backsolve."""
-        return scipy.linalg.solve_banded(
-            (0, self.bandwidth), self._upper_form(), b, check_finite=False
-        )
+        """G' x = b (back substitution) for b of shape (dim,) or (dim, k); the
+        sampling backsolve.
+
+        In blocks of side s = max(bandwidth, _MIN_BLOCK), G is block lower
+        bidiagonal: entry (j + d, j), d <= bandwidth <= s, lies in the block
+        row of column j or in the one below it.  With D_i the diagonal blocks
+        of G and E_i the blocks below them, G' x = b solves from the last
+        block up as
+
+            x_i = D_i'^{-1} b_i - D_i'^{-1} E_i' x_{i+1},
+
+        one batched product D_i'^{-1} b_i over all blocks and then one
+        (s, s) x (s, k) GEMM per block, in place of a substitution step per
+        column.  The inverses of the triangular D_i come from one
+        substitution over their rows, batched over the blocks.  dim is
+        padded to whole blocks with a unit diagonal and zero bands, whose
+        solution is zero.
+        """
+        b = np.asarray(b, dtype=float)
+        if b.shape[0] != self.dim:
+            raise DimensionMismatchError("right-hand side does not match dim")
+        bw, n = self.bandwidth, self.dim
+        s = max(bw, _MIN_BLOCK)
+        nb = -(-n // s)
+        g = self.bands
+        rhs = b.reshape(n, -1)
+        if nb * s > n:
+            g = np.zeros((bw + 1, nb * s))
+            for d in range(bw + 1):
+                g[d, : n - d] = self.bands[d, : n - d]
+            g[0, n:] = 1.0
+            rhs = np.concatenate([rhs, np.zeros((nb * s - n, rhs.shape[1]))])
+        # band d is the d-th subdiagonal of each D_i and the (s - d)-th
+        # superdiagonal of each E_i, read from flat (s * s) blocks
+        diag = np.zeros((nb, s * s))
+        below = np.zeros((nb - 1, s * s))
+        for d in range(bw + 1):
+            band = g[d].reshape(nb, s)
+            diag[:, d * s :: s + 1] = band[:, : s - d]
+            below[:, s - d :: s + 1][:, :d] = band[:-1, s - d :]
+        diag = diag.reshape(nb, s, s)
+        d_inv = np.zeros_like(diag)
+        for a in range(s):  # row a of D^{-1}: (e_a - D[a, :a] D^{-1}[:a]) / D[a, a]
+            row = -(diag[:, a : a + 1, :a] @ d_inv[:, :a])[:, 0]
+            row[:, a] += 1.0
+            d_inv[:, a] = row / diag[:, a, a, None]
+        x = d_inv.transpose(0, 2, 1) @ rhs.reshape(nb, s, -1)
+        coupling = -(below.reshape(nb - 1, s, s) @ d_inv[:-1]).transpose(0, 2, 1)
+        tmp = np.empty(x.shape[1:])
+        for i in range(nb - 2, -1, -1):
+            np.matmul(coupling[i], x[i + 1], out=tmp)
+            x[i] += tmp
+        x = x.reshape(nb * s, -1)[:n]
+        return x[:, 0] if b.ndim == 1 else x
 
 
 @dataclass
@@ -224,7 +247,8 @@ class GaussianInPrecisionForm:
         no product with the precision is needed."""
         n = self.precision.dim
         z = rng.standard_normal(n if size is None else (n, size))
-        x = self.mean + self.factor.solve_upper(z).T
+        x = np.empty(z.shape[::-1])  # one contiguous row per draw
+        np.add(self.mean, self.factor.solve_upper(z).T, out=x)
         log_norm = -0.5 * n * np.log(2.0 * np.pi) + 0.5 * self.factor.log_det
         return x, log_norm - 0.5 * np.einsum("i...,i...->...", z, z)
 

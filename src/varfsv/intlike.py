@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandlin import BandSymMatrix, GaussianInPrecisionForm, band_add
+from .bandlin import BandSymMatrix, GaussianInPrecisionForm
 from .exceptions import (
     DegenerateWeightsError,
     MaxIterationsExceededError,
@@ -39,6 +39,10 @@ from .exceptions import (
 
 _LOG2PI = np.log(2.0 * np.pi)
 _EM_TOL = 1e-4  # the mode search stops once an accepted step's norm is below this
+_EM_MAX_STEP = 3.0  # largest |change| of any h in one mode-search step
+# elements of h per chunk of draws in `importance_log_weights`: the chunk's
+# temporaries, a few arrays of this size, stay within a 2 MiB cache
+_CHUNK = 2**17
 
 
 def residuals(y, x, beta):
@@ -280,9 +284,17 @@ def _estep(eps, load, c, u):
 def q_gradient(prior, h_flat, zhat_flat):
     """Gradient of Q(. | h) at h_flat.  With z-hat from the E-step at h_flat
     itself it is the exact score of log p(h | y, params) (Fisher's
-    identity)."""
+    identity).  The state precision is applied through its two non-zero
+    bands, the main one and the lag band n + r below it."""
     dev = h_flat - prior.mean
-    return -prior.precision.matvec(dev) - 0.5 * (1.0 - np.exp(-h_flat) * zhat_flat)
+    bands = prior.precision.bands
+    lag = len(bands) - 1
+    prec_dev = bands[0] * dev
+    if lag:
+        coupling = bands[lag, :-lag]
+        prec_dev[lag:] += coupling * dev[:-lag]
+        prec_dev[:-lag] += coupling * dev[lag:]
+    return -prec_dev - 0.5 * (1.0 - np.exp(-h_flat) * zhat_flat)
 
 
 def neg_q_hessian(prior, h_flat, zhat_flat):
@@ -309,6 +321,18 @@ def _expansion_at(h, draw, y, x):
     return _expand(eps, draw.load, prior, h, c, u)
 
 
+def _add_period_blocks(neg_hq, blocks):
+    """-H_Q plus one symmetric (n+r, n+r) block per period on the diagonal,
+    blocks (T, n+r, n+r): the lower triangle of each block is added into a
+    copy of -H_Q's bands, which grow to n+r rows when T = 1."""
+    T, d, _ = blocks.shape
+    bands = np.zeros((max(d, len(neg_hq.bands)), T * d))
+    bands[: len(neg_hq.bands)] = neg_hq.bands
+    for off in range(d):
+        bands[off].reshape(T, d)[:, : d - off] += np.diagonal(blocks, -off, 1, 2)
+    return BandSymMatrix(bands)
+
+
 def _louis_neg_hessian(ex):
     """Exact negative Hessian of the log target at `ex.h` (Louis, 1982): -H_Q
     minus the covariance of the complete-data score given y and h.  Per
@@ -323,7 +347,7 @@ def _louis_neg_hessian(ex):
     m_s = ex.m * s
     c = a_s.transpose(0, 2, 1) @ a_s
     score_cov = c * (0.5 * c + m_s[:, :, None] * m_s[:, None, :])
-    return band_add(ex.neg_hq, BandSymMatrix.from_blocks(-score_cov))
+    return _add_period_blocks(ex.neg_hq, -score_cov)
 
 
 def em_mode(y, x, draw, h0=None, max_em=100):
@@ -336,8 +360,13 @@ def em_mode(y, x, draw, h0=None, max_em=100):
     (-H)^{-1} score on the exact negative Hessian -H of Louis's identity
     when -H passes the band Cholesky, and the EM gradient step
     (-H_Q)^{-1} score otherwise; -H_Q is always positive definite, and both
-    steps are ascent directions of the exact target.  The step is halved
-    until that target does not decrease, so the iterates are monotone in it;
+    steps are ascent directions of the exact target.  A step that would
+    move any h by more than `_EM_MAX_STEP` is scaled down to that size: from
+    the flat start a full Newton step can send the h of a nearly exactly
+    fitted series to -100 or below, where exp(-h) swamps K_t and its
+    Cholesky fails in floating point.  The step is then halved until the
+    target does not decrease, so the iterates are monotone in it; a trial
+    point where some K_t is not positive definite counts as a decrease.
     NumericalError is raised if 40 trial steps find no such point.
     Converged once an accepted step's norm is below `_EM_TOL`; at most
     `max_em` iterations.  The target's quadratic form is the residual form
@@ -371,11 +400,18 @@ def em_mode(y, x, draw, h0=None, max_em=100):
         except NotPositiveDefiniteError:
             factor = ex.neg_hq.cholesky()
         step = factor.solve(ex.score).reshape(h.shape)
+        largest = np.max(np.abs(step))
+        if largest > _EM_MAX_STEP:
+            step *= _EM_MAX_STEP / largest
         for _ in range(40):
             h_try = h + step
-            target_try, fp_try = evaluate(h_try)
-            if target_try >= target - 1e-12 * (1.0 + abs(target)):
-                break
+            try:
+                target_try, fp_try = evaluate(h_try)
+            except NotPositiveDefiniteError:
+                pass  # some K_t is not PD at the trial point: a failed trial
+            else:
+                if target_try >= target - 1e-12 * (1.0 + abs(target)):
+                    break
             step *= 0.5
         else:
             raise NumericalError(
@@ -407,7 +443,7 @@ def hessian_em(h_hat, draw, y, x, expansion=None):
         return ex.neg_hq
     z = np.exp(-ex.h)[:, :, None] * (ex.a.transpose(0, 2, 1) @ ex.a)
     neg_hh = 0.5 * z.transpose(0, 2, 1) * (np.eye(ex.h.shape[1]) - z)
-    return band_add(ex.neg_hq, BandSymMatrix.from_blocks(neg_hh))
+    return _add_period_blocks(ex.neg_hq, neg_hh)
 
 
 def hessian_direct(h_hat, draw, y, x, expansion=None):
@@ -489,13 +525,25 @@ def integrated_likelihood(y, x, draw, r1, rng, route="em"):
 
 def importance_log_weights(y, x, draw, hs, log_q):
     """Log integrand-over-proposal ratios for stacked draws hs (rows) with
-    proposal log-densities log_q."""
-    hcube = hs.reshape(-1, np.asarray(y).shape[0], draw.n + draw.r)
-    return (
-        log_cond_likelihood(y, x, draw.beta, draw.load, hcube)
-        + log_state_prior(hcube, draw.mu, draw.phi, draw.sig2)
-        - log_q
-    )
+    proposal log-densities log_q.
+
+    The likelihood and the prior are evaluated over chunks of draws of about
+    `_CHUNK` elements of h each (28 draws at (T, n+r) = (200, 23)), so that
+    their temporaries stay in cache; over all R1 draws at once each would be
+    an R1 x T x (n+r) array streamed through memory.  The residuals are
+    computed once."""
+    y = np.asarray(y, dtype=float)
+    T = y.shape[0]
+    hcube = np.asarray(hs, dtype=float).reshape(-1, T, draw.n + draw.r)
+    eps = residuals(y, x, draw.beta)
+    step = max(1, _CHUNK // (T * (draw.n + draw.r)))
+    logw = np.empty(len(hcube))
+    for i in range(0, len(hcube), step):
+        h = hcube[i : i + step]
+        logw[i : i + step] = _log_cond_from_factors(
+            eps, draw.load, h, *factor_precision(eps, draw.load, h)
+        ) + log_state_prior(h, draw.mu, draw.phi, draw.sig2)
+    return logw - log_q
 
 
 def integrated_likelihood_from_draws(y, x, draw, hs, log_q):

@@ -5,13 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from varfsv.bandlin import (
-    BandCholeskyFactor,
-    BandSymMatrix,
-    GaussianInPrecisionForm,
-    band_add,
-)
+from varfsv.bandlin import BandCholeskyFactor, BandSymMatrix, GaussianInPrecisionForm
 from varfsv.exceptions import DimensionMismatchError, NotPositiveDefiniteError
+from varfsv.intlike import _add_period_blocks
 
 TRIDIAG = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
 
@@ -95,11 +91,12 @@ def test_matvec_matches_dense():
     assert np.allclose(m.matvec(xs), xs @ a.T)
 
 
-def test_from_blocks_block_diagonal():
+def test_period_blocks_widen_a_diagonal_matrix():
+    # blocks wider than the band: the bands grow to the block side
     rng = np.random.default_rng(5)
     blocks = rng.standard_normal((4, 3, 3))
     blocks = blocks + blocks.transpose(0, 2, 1)
-    m = BandSymMatrix.from_blocks(blocks)
+    m = _add_period_blocks(BandSymMatrix(np.zeros((1, 12))), blocks)
     assert m.bandwidth == 2
     dense = np.zeros((12, 12))
     for t in range(4):
@@ -107,12 +104,15 @@ def test_from_blocks_block_diagonal():
     assert np.allclose(m.to_dense(), dense)
 
 
-def test_band_add_mixed_bandwidths():
+def test_period_blocks_inside_a_wider_band():
+    # blocks narrower than the band: the bands beyond the blocks are kept
     rng = np.random.default_rng(9)
     a = random_spd_band(rng, 10, 3)
-    b = random_spd_band(rng, 10, 1)
-    s = band_add(BandSymMatrix.from_dense(a), BandSymMatrix.from_dense(b))
-    assert np.allclose(s.to_dense(), a + b)
+    blocks = rng.standard_normal((5, 2, 2))
+    blocks = blocks + blocks.transpose(0, 2, 1)
+    m = _add_period_blocks(BandSymMatrix.from_dense(a), blocks)
+    assert m.bandwidth == 3
+    assert np.allclose(m.to_dense(), a + scipy.linalg.block_diag(*blocks))
 
 
 def test_precision_sample_standard_normal_mean():
@@ -213,6 +213,21 @@ def test_no_dense_allocation_for_large_dim():
     assert np.isfinite(g.logpdf(x))
 
 
+@pytest.mark.parametrize("k", [None, 1, 7])
+@pytest.mark.parametrize(
+    "dim, bw",
+    # bandwidth 0 and 5 (blocks of the smallest side), 23 (blocks of the
+    # bandwidth); dims that fill whole blocks, fewer than one, and one more
+    [(1, 0), (9, 0), (16, 5), (17, 5), (4, 3), (46, 23), (47, 23), (70, 23)],
+)
+def test_solve_upper_matches_dense_triangular_solve(dim, bw, k):
+    rng = np.random.default_rng(dim + bw)
+    g = _band_factor(rng, dim, bw)
+    f = BandSymMatrix.from_dense(g @ g.T, bw).cholesky()
+    rhs = rng.standard_normal(dim if k is None else (dim, k))
+    _rel_close(f.solve_upper(rhs), scipy.linalg.solve_triangular(g.T, rhs, lower=False))
+
+
 def test_factor_solve_upper_is_transpose_solve():
     rng = np.random.default_rng(13)
     a = random_spd_band(rng, 15, 2)
@@ -243,7 +258,6 @@ def _band_factor(rng, dim, bw):
 @given(st.integers(1, 30), st.data())
 def test_band_routines_match_dense_algebra(dim, data):
     bw = data.draw(st.integers(0, min(dim - 1, 6)), label="bandwidth")
-    bw2 = data.draw(st.integers(0, min(dim - 1, 6)), label="second bandwidth")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     g = _band_factor(rng, dim, bw)
     a = g @ g.T
@@ -260,6 +274,7 @@ def test_band_routines_match_dense_algebra(dim, data):
     _rel_close(f.solve(b), np.linalg.solve(a, b))
     _rel_close(f.solve(bmat), np.linalg.solve(a, bmat))
     _rel_close(f.solve_upper(b), np.linalg.solve(dense_chol.T, b))
+    _rel_close(f.solve_upper(bmat), np.linalg.solve(dense_chol.T, bmat))
 
     xs = rng.standard_normal((4, dim))
     _rel_close(m.matvec(xs[0]), a @ xs[0])
@@ -268,15 +283,12 @@ def test_band_routines_match_dense_algebra(dim, data):
     v = rng.uniform(size=dim)
     _rel_close(m.add_diagonal(v).to_dense(), a + np.diag(v))
 
-    other = _band_factor(rng, dim, bw2)
-    other = other @ other.T
-    _rel_close(band_add(m, BandSymMatrix.from_dense(other, bw2)).to_dense(), a + other)
-
-    side = bw + 1
-    blocks = rng.standard_normal((max(1, dim // side), side, side))
+    # per-period blocks of any side that tiles dim, narrower or wider than the band
+    side = data.draw(st.sampled_from([s for s in range(1, dim + 1) if dim % s == 0]))
+    blocks = rng.standard_normal((dim // side, side, side))
     blocks = blocks + blocks.transpose(0, 2, 1)
     _rel_close(
-        BandSymMatrix.from_blocks(blocks).to_dense(), scipy.linalg.block_diag(*blocks)
+        _add_period_blocks(m, blocks).to_dense(), a + scipy.linalg.block_diag(*blocks)
     )
 
     mean = rng.standard_normal(dim)

@@ -376,6 +376,47 @@ class TestEmMode:
         sol = optimize.minimize(neg_target, start, method="BFGS", tol=1e-12)
         assert np.allclose(res.h_hat.ravel(), sol.x, atol=2e-4)
 
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_overshooting_step_is_capped_or_halved(self, monkeypatch, capped):
+        # series 0 is fitted almost exactly and barely loads on the factors,
+        # under a weak prior: its mode is near h = -10, and the full first
+        # Newton step from the flat start sends it below -90, where K_t fails
+        # its Cholesky in floating point.  Capped, every trial point keeps
+        # K_t PD; uncapped, that trial point counts as a decrease and the
+        # step is halved.
+        rng = np.random.default_rng(3)
+        y, x, draw = make_problem(rng, n=3, r=2, T=4)
+        draw.sig2[0], draw.phi[0] = 1.0, 0.99
+        draw.load[0] *= 0.01
+        y[:, 0] = (x @ draw.beta_matrix().T)[:, 0] + 1e-8 * rng.standard_normal(4)
+        if not capped:
+            monkeypatch.setattr(intlike, "_EM_MAX_STEP", np.inf)
+        raised = []
+        fp = intlike.factor_precision
+
+        def recorded(*args):
+            try:
+                return fp(*args)
+            except NotPositiveDefiniteError:
+                raised.append(args[2])
+                raise
+
+        monkeypatch.setattr(intlike, "factor_precision", recorded)
+        res = intlike.em_mode(y, x, draw)
+        assert bool(raised) is not capped
+        assert all(h.min() < -50 for h in raised)
+
+        def neg_target(hflat):
+            hc = hflat.reshape(4, 5)
+            return -intlike.log_cond_likelihood(
+                y, x, draw.beta, draw.load, hc
+            ) - intlike.log_state_prior(hc, draw.mu, draw.phi, draw.sig2)
+
+        start = np.tile(np.concatenate([draw.mu, np.zeros(2)]), 4)
+        sol = optimize.minimize(neg_target, start, method="BFGS", tol=1e-12)
+        assert np.allclose(res.h_hat.ravel(), sol.x, atol=2e-4)
+        assert res.h_hat[:, 0].max() < -9.0
+
     def test_iterations_bounded_at_design_size(self):
         # (n, p, r, T) = (20, 2, 3, 200) at the truth: the EM gradient step
         # alone took 27 iterations here
@@ -586,6 +627,32 @@ class TestIntegratedLikelihood:
         assert fallback is not pd
         assert calls["factor_precision"] == calls["log_state_prior"] > 1
         assert np.array_equal(g.mean, em.h_hat.ravel())
+
+    @pytest.mark.parametrize(
+        "r1_of_c",
+        [lambda c: 1, lambda c: c - 1, lambda c: c, lambda c: c + 1, lambda c: 200],
+        ids=["1", "c-1", "c", "c+1", "200"],
+    )
+    def test_chunked_weights_equal_one_shot_sum(self, r1_of_c):
+        # c draws fill one chunk; 200 draws are one full chunk and a partial one
+        n, r, T = 3, 2, 200
+        c = intlike._CHUNK // (T * (n + r))
+        assert c + 1 < 200 < 2 * c
+        r1 = r1_of_c(c)
+        rng = np.random.default_rng(26)
+        y, x, draw = make_problem(rng, n=n, r=r, T=T)
+        hs = np.concatenate([draw.mu, np.zeros(r)]) + 0.5 * rng.standard_normal(
+            (r1, T, n + r)
+        )
+        log_q = rng.standard_normal(r1)
+        got = intlike.importance_log_weights(y, x, draw, hs.reshape(r1, -1), log_q)
+        want = (
+            intlike.log_cond_likelihood(y, x, draw.beta, draw.load, hs)
+            + intlike.log_state_prior(hs, draw.mu, draw.phi, draw.sig2)
+            - log_q
+        )
+        assert got.shape == (r1,)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     @pytest.mark.parametrize("route", ["EM", "dense", None])
     def test_unknown_route_raises(self, route):
