@@ -1,9 +1,12 @@
 """Six-block Gibbs sampler for the factor-SV VAR posterior.
 
 Sweep order: latent factors (one Cholesky per period), VAR coefficients and
-loadings (all equations in one block with one Cholesky each, loadings
-truncated to the sign restrictions by one accept-reject pass over all
-sign-restricted equations), log-volatility paths (auxiliary mixture sampler,
+loadings (all equations in one block: one product of exp(-h)' with the
+per-period regressor products writes every equation's bordered posterior
+precision straight into LAPACK's rectangular full packed layout, which one
+in-place `dpftrf` factors and one `dtfsm` back-solves per equation;
+loadings truncated to the sign restrictions by one accept-reject pass over
+all sign-restricted equations), log-volatility paths (auxiliary mixture sampler,
 one LDL' factorization of the tridiagonal precision and one solve per scan),
 innovation variances (inverse-gamma), log-volatility means (normal), and AR
 coefficients (independence-chain Metropolis-Hastings).  The SV parameters of
@@ -177,25 +180,81 @@ def sample_factors(y, x, draw, h, rng):
 # step 2: VAR coefficients and loadings, all equations in one block
 
 
-def x_products(x):
-    """Products x_t x_t' of the regressor rows, lower triangle by rows, as a
-    (T, k(k+1)/2) array: x'Wx for any diagonal W is one product with it."""
-    il = np.tril_indices(x.shape[1])
-    return x[:, il[0]] * x[:, il[1]]
+class RfpLayout:
+    """The bordered (N, N), N = k + r + 1, posterior precisions of
+    `sample_beta_loadings` in LAPACK's rectangular full packed (RFP) format
+    (transr 'N', uplo 'L'): `pos[i, j]` is the slot of entry (i, j) in the
+    length-N(N+1)/2 array, symmetric, so row `pos[i]` lists every slot of
+    row and column i.  `prod` holds, one row per period t, the products of
+    the entries of (x_t, f_t) in slot order: the x block is filled here, the
+    factor rows by every `bordered_precisions` call, and the border row
+    stays zero, so the data part of all n precisions is one product of
+    exp(-h)' with it."""
+
+    def __init__(self, x, r):
+        T, k = x.shape
+        N = k + r + 1
+        # dtrttf moves the label i*N + j of entry (i, j) to that entry's slot
+        labels = lapack.dtrttf(np.arange(N * N, dtype=float).reshape(N, N),
+                               transr="N", uplo="L")[0]
+        pos = np.zeros(N * N, np.intp)
+        pos[labels.astype(np.intp)] = np.arange(labels.size)
+        pos = np.tril(pos.reshape(N, N))
+        self.pos = pos + np.tril(pos, -1).T
+        i, j = np.tril_indices(N - 1)
+        fac = i >= k
+        self.prod = np.zeros((T, labels.size))
+        self.prod[:, self.pos[i[~fac], j[~fac]]] = x[:, i[~fac]] * x[:, j[~fac]]
+        # the factor rows' entries in slot order, so each refresh writes forward
+        order = np.argsort(self.pos[i[fac], j[fac]])
+        self.fac_rows, self.fac_cols = i[fac][order], j[fac][order]
+        self.fac_slots = self.pos[self.fac_rows, self.fac_cols]
 
 
-def sample_beta_loadings(y, x, xx, fmat, h, beta_mean, beta_var, load_mean,
+def bordered_precisions(y, x, rfp, fmat, h, beta_mean, beta_var, load_mean,
+                         load_var, codes):
+    """The n bordered posterior precisions [[K_i, .], [b_i', c_i]] of the
+    equations' (beta_i, l_i), one RFP array per row of the (n, N(N+1)/2)
+    result, and the (n, k + r) mask of coordinates that are not
+    zero-restricted.  Only the lower triangle of each is defined."""
+    n, k, r = y.shape[1], x.shape[1], fmat.shape[1]
+    m = k + r
+    pos = rfp.pos
+    keep = np.concatenate([np.ones((n, k), bool), codes != ZERO], axis=1)
+    var0 = np.where(keep, np.concatenate([beta_var, load_var], axis=1), 1.0)
+    theta0 = np.where(keep, np.concatenate([beta_mean, load_mean], axis=1), 0.0)
+    w = np.exp(-h.T)
+    wy = w * y.T
+    xf = np.concatenate([x, fmat], axis=1)
+    rfp.prod[:, rfp.fac_slots] = xf[:, rfp.fac_rows] * xf[:, rfp.fac_cols]
+    a = w @ rfp.prod
+    diag = np.arange(m)
+    a[:, pos[diag, diag]] += 1.0 / var0
+    a[:, pos[m, :m]] = wy @ xf + theta0 / var0
+    # the corner only has to exceed |u|^2 = b'K^{-1}b <= y'Wy + theta0'P theta0;
+    # twice that keeps rounding in |u|^2 from ever reaching it
+    a[:, pos[m, m]] = 2.0 * (np.sum(wy * y.T, axis=1) + np.sum(theta0**2 / var0, axis=1)) + 1.0
+    # zero-restricted coordinates: no cross terms, no right-hand side, unit
+    # diagonal (row pos[c] holds every slot of row and column c)
+    eq, col = np.nonzero(~keep)
+    a[eq[:, None], pos[col]] = 0.0
+    a[eq, pos[col, col]] = 1.0
+    return a, keep
+
+
+def sample_beta_loadings(y, x, rfp, fmat, h, beta_mean, beta_var, load_mean,
                          load_var, codes, load, rngs):
     """Joint draw of (beta_i, l_i) for all n equations from their truncated
     normal conditionals; returns the (n, k) coefficients and (n, r) loadings.
 
-    The lower triangles of the n posterior precisions are built together,
-    x'W_i x from one product of exp(-h) with `xx = x_products(x)`, and
-    bordered by their right-hand sides b, so one Cholesky per equation gives
-    L and, in its last row, u = L^{-1} b; a draw is theta = L'^{-1}(u + z).
-    Zero-restricted loadings are decoupled unit coordinates (no cross terms,
-    zero right-hand side), drawn unbounded and set to exactly 0 at the end.
-    Sign-restricted loadings are drawn first from their marginal
+    The n posterior precisions are built together in the RFP layout `rfp`
+    (an `RfpLayout` of x and r): x'W_i x for all of them from one product of
+    exp(-h) with its products, bordered by their right-hand sides b, so one
+    in-place `dpftrf` per equation gives L and, in its last row,
+    u = L^{-1} b; a draw is theta = L'^{-1}(u + z), one `dtfsm` on
+    [u + z; 0].  Zero-restricted loadings are decoupled unit coordinates (no
+    cross terms, zero right-hand side), drawn unbounded and set to exactly 0
+    at the end.  Sign-restricted loadings are drawn first from their marginal
     N(l_hat = L22'^{-1} u_l, (L22 L22')^{-1}), L22 = L[k:, k:], by one
     accept-reject pass over all sign-restricted equations through the roots
     L22'^{-1}, or by a box-Gibbs update from the current `load` for an
@@ -203,50 +262,26 @@ def sample_beta_loadings(y, x, xx, fmat, h, beta_mean, beta_var, load_mean,
     conditional from z_l = L22'(l - l_hat), which for an accepted proposal is
     that proposal's own normal vector.  Equation i draws only from `rngs[i]`:
     one proposal, the batch only on a miss, the box, then k normals."""
-    (T, n), k, r = y.shape, x.shape[1], fmat.shape[1]
-    m = k + r
-    keep = np.concatenate([np.ones((n, k), bool), codes != ZERO], axis=1)
-    var0 = np.where(keep, np.concatenate([beta_var, load_var], axis=1), 1.0)
-    theta0 = np.where(keep, np.concatenate([beta_mean, load_mean], axis=1), 0.0)
-    w = np.exp(-h.T)
-    wy = w * y.T
-    a = np.zeros((n, m + 1, m + 1))
-    il = np.tril_indices(k)
-    a[:, il[0], il[1]] = w @ xx
-    xf = np.concatenate([x, fmat], axis=1)
-    a[:, k:m, :m] = (w @ (fmat[:, :, None] * xf[:, None, :]).reshape(T, r * m)
-                     ).reshape(n, r, m)
-    a[:, k:m, :m] *= keep[:, k:, None]
-    a[:, k:m, k:m] *= keep[:, None, k:]
-    diag = np.arange(m)
-    a[:, diag, diag] += 1.0 / var0
-    a[:, m, :m] = (wy @ xf) * keep + theta0 / var0
-    # the corner only has to exceed |u|^2 = b'K^{-1}b <= y'Wy + theta0'P theta0;
-    # twice that keeps rounding in |u|^2 from ever reaching it
-    a[:, m, m] = 2.0 * (np.sum(wy * y.T, axis=1) + np.sum(theta0**2 / var0, axis=1)) + 1.0
+    n, k, r = y.shape[1], x.shape[1], fmat.shape[1]
+    m, pos = k + r, rfp.pos
+    a, keep = bordered_precisions(y, x, rfp, fmat, h, beta_mean, beta_var,
+                                  load_mean, load_var, codes)
 
     is_signed = np.any((codes == POS) | (codes == NEG), axis=1)
-    beta = np.empty((n, k))
-    out = np.empty((n, r))
-    chol = {}  # factors of the sign-restricted equations, drawn after the pass
-    for i, rng in enumerate(rngs):
-        c, info = lapack.dpotrf(a[i], lower=1)
-        if info != 0:
+    for i in range(n):
+        # in place: row i becomes the factor [[L, 0], [u', .]] in the same layout
+        if lapack.dpftrf(m + 1, a[i], transr="N", uplo="L", overwrite_a=1)[1] != 0:
             raise NumericalError(f"equation {i} posterior precision not PD")
-        if is_signed[i]:
-            chol[i] = c
-            continue
-        z = np.zeros(m)
-        z[keep[i]] = rng.standard_normal(np.count_nonzero(keep[i]))
-        theta = lapack.dtrtrs(c[:m, :m], c[m, :m] + z, lower=1, trans=1)[0]
-        beta[i] = theta[:k]
-        out[i] = theta[k:]
-    if chol:
-        signed = np.flatnonzero(is_signed)
-        # rows k..m-1 of the last r columns are L22, row m is u_l
-        blk = np.array([chol[i][k:, k:m] for i in signed])
-        l22, u_l = blk[:, :r], blk[:, r]
-        l_hat = tri_solve(l22, u_l, trans=True)
+    # right-hand sides [u + z; 0]: the last unknown of the bordered solve is 0
+    b = np.zeros((n, m + 1))
+    b[:, :m] = a[:, pos[m, :m]]
+    for i in np.flatnonzero(~is_signed):
+        b[i, :m][keep[i]] += rngs[i].standard_normal(np.count_nonzero(keep[i]))
+    signed = np.flatnonzero(is_signed)
+    if signed.size:
+        # L22 is the factor's lower triangle on rows and columns k..m-1
+        l22 = a[signed[:, None, None], pos[k:m, k:m]] * np.tri(r)
+        l_hat = tri_solve(l22, b[signed, k:m], trans=True)
         root = tri_solve(l22, np.broadcast_to(np.eye(r), l22.shape), trans=True)
         lb, ub = sign_bounds(codes[signed])
         l_draw, z_l = tmvn.TruncatedMVN(l_hat, root, lb, ub).sample_one(
@@ -260,11 +295,14 @@ def sample_beta_loadings(y, x, xx, fmat, h, beta_mean, beta_var, load_mean,
                     rngs[i], l_hat[j], l22[j] @ l22[j].T, lb[j], ub[j], load[i]
                 )
                 z_l[j] = l22[j].T @ (l_draw[j] - l_hat[j])
-            z = np.concatenate([rngs[i].standard_normal(k), z_l[j]])
-            theta = lapack.dtrtrs(chol[i][:m, :m], chol[i][m, :m] + z, lower=1, trans=1)[0]
-            beta[i] = theta[:k]
-        out[signed] = l_draw
-    return beta, np.where(keep[:, k:], out, 0.0)
+            b[i, :k] += rngs[i].standard_normal(k)
+            b[i, k:m] += z_l[j]
+    for i in range(n):
+        lapack.dtfsm(1.0, a[i], b[i, :, None], transr="N", uplo="L", trans="T",
+                     overwrite_b=1)
+    if signed.size:
+        b[signed, k:m] = l_draw  # exactly the draw inside the orthant
+    return b[:, :k], np.where(keep[:, k:], b[:, k:m], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +481,7 @@ def run_chain(y, x, spec, settings, reduced_form=False):
     beta_mat, load, h = draw.beta_matrix(), draw.load, states.h
     mu, phi, sig2 = draw.mu, draw.phi, draw.sig2
     pri = spec.priors
-    xx = x_products(x)
+    rfp = RfpLayout(x, r)
 
     stored = settings.stored
     chain = McmcChain(
@@ -465,7 +503,7 @@ def run_chain(y, x, spec, settings, reduced_form=False):
             cur = ParamDraw(beta=beta_mat.ravel(), load=load, mu=mu, phi=phi, sig2=sig2)
             f = sample_factors(y, x, cur, h, rng_f)
             beta_mat, load = sample_beta_loadings(
-                y, x, xx, f, h[:, :n], pri.beta_mean, pri.beta_var,
+                y, x, rfp, f, h[:, :n], pri.beta_mean, pri.beta_var,
                 pri.load_mean, pri.load_var, spec.signs.codes, load, rng_eq,
             )
             resid = residuals(y, x, beta_mat) - f @ load.T

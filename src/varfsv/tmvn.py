@@ -21,6 +21,8 @@ _TINY = 1e-300
 # central intervals wider than this are drawn by plain normal rejection,
 # narrower ones by inverting the normal cdf
 _WIDE_INTERVAL = 2.0
+# intervals entirely beyond this are drawn from the Rayleigh tail proposal
+_TAIL = 0.66
 
 
 def _ln_phi_tail(x):
@@ -57,11 +59,10 @@ def trandn(rng, lb, ub):
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     x = np.empty(lb.shape)
-    a = 0.66
-    right = lb > a
+    right = lb > _TAIL
     if np.any(right):
         x[right] = _norm_tail(rng, lb[right], ub[right])
-    left = ub < -a
+    left = ub < -_TAIL
     if np.any(left):
         x[left] = -_norm_tail(rng, -ub[left], -lb[left])
     mid = ~(right | left)
@@ -108,6 +109,41 @@ def _norm_reject(rng, lb, ub):
         x[reject[ok]] = y[ok]
         reject = reject[~ok]
     return x
+
+
+def trandn_one(rng, lb, ub):
+    """`trandn(rng, [lb], [ub])[0]` for scalar bounds: the same branch, the
+    same draws from `rng` (`random()` is `uniform()` on [0, 1)) and the same
+    arithmetic, without the array work."""
+    if lb > _TAIL:
+        return _norm_tail_one(rng, lb, ub)
+    if ub < -_TAIL:
+        return -_norm_tail_one(rng, -ub, -lb)
+    if abs(ub - lb) > _WIDE_INTERVAL:
+        x = rng.standard_normal()
+        if lb <= x <= ub:
+            return x
+        while True:
+            x = rng.standard_normal()
+            if lb < x < ub:
+                return x
+    pl = special.erfc(lb / _SQRT2) / 2.0
+    pu = special.erfc(ub / _SQRT2) / 2.0
+    return _SQRT2 * special.erfcinv(2.0 * (pl - (pl - pu) * rng.random()))
+
+
+def _norm_tail_one(rng, lb, ub):
+    c = lb * lb / 2.0
+    f = np.expm1(c - ub * ub / 2.0)
+    x = c - np.log1p(rng.random() * f)
+    u = rng.random()
+    if u * u * x > c:
+        while True:
+            x = c - np.log1p(rng.random() * f)
+            u = rng.random()
+            if u * u * x < c:
+                break
+    return np.sqrt(2.0 * x)
 
 
 class TruncatedMVN:
@@ -166,13 +202,13 @@ def gibbs_sample_box(rng, mean, precision, lb, ub, x0, sweeps=5):
     of the Markov kernel, not an independent sample.
     """
     x = np.array(x0, dtype=float)
-    d = len(x)
+    dev = x - mean
+    sd = 1.0 / np.sqrt(np.diagonal(precision))
     for _ in range(sweeps):
-        for i in range(d):
+        for i in range(len(x)):
             pii = precision[i, i]
-            r = precision[i] @ (x - mean) - pii * (x[i] - mean[i])
-            m = mean[i] - r / pii
-            s = 1.0 / np.sqrt(pii)
-            z = trandn(rng, np.array([(lb[i] - m) / s]), np.array([(ub[i] - m) / s]))
-            x[i] = m + s * z[0]
+            m = mean[i] - (precision[i] @ dev - pii * dev[i]) / pii
+            s = sd[i]
+            x[i] = m + s * trandn_one(rng, (lb[i] - m) / s, (ub[i] - m) / s)
+            dev[i] = x[i] - mean[i]
     return x

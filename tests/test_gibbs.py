@@ -110,10 +110,10 @@ class TestSampleFactors:
         assert out.shape == (3, 0)
 
 
-def draw_equation(y, x, fmat, h, bm, bv, lm, lv, signs, load, rng, xx=None):
+def draw_equation(y, x, fmat, h, bm, bv, lm, lv, signs, load, rng, rfp=None):
     """One equation's draw through the all-equations block (n = 1)."""
     beta, out = gibbs.sample_beta_loadings(
-        y[:, None], x, gibbs.x_products(x) if xx is None else xx, fmat,
+        y[:, None], x, gibbs.RfpLayout(x, fmat.shape[1]) if rfp is None else rfp, fmat,
         h[:, None], bm[None], bv[None], lm[None], lv[None],
         np.array([signs], dtype=np.int8), np.asarray(load, float)[None], [rng],
     )
@@ -135,12 +135,12 @@ class TestSampleBetaLoadings:
         w = np.exp(-h)
         K = (z * w[:, None]).T @ z + np.diag(1 / np.concatenate([bv, lv]))
         want = np.linalg.solve(K, z.T @ (w * y))
-        xx = gibbs.x_products(x)
+        rfp = gibbs.RfpLayout(x, fmat.shape[1])
         draws = np.array(
             [
                 np.concatenate(
                     draw_equation(
-                        y, x, fmat, h, bm, bv, lm, lv, [FREE], [0.1], rng, xx
+                        y, x, fmat, h, bm, bv, lm, lv, [FREE], [0.1], rng, rfp
                     )
                 )
                 for _ in range(20_000)
@@ -156,14 +156,14 @@ class TestSampleBetaLoadings:
         fmat = np.zeros((T, 1))  # no data information: posterior = prior
         y = np.zeros(T)
         h = np.zeros(T)
-        xx = gibbs.x_products(x)
+        rfp = gibbs.RfpLayout(x, fmat.shape[1])
         draws = np.array(
             [
                 draw_equation(
                     y, x, fmat, h,
                     np.zeros(1), np.full(1, 1e6),  # diffuse beta prior
                     np.zeros(1), np.ones(1),       # loading prior N(0, 1)
-                    [POS], [1.0], rng, xx,
+                    [POS], [1.0], rng, rfp,
                 )[1][0]
                 for _ in range(20_000)
             ]
@@ -190,13 +190,13 @@ class TestSampleBetaLoadings:
         fmat = np.zeros((T, 1))
         y = np.zeros(T)
         h = np.zeros(T)
-        xx = gibbs.x_products(x)
+        rfp = gibbs.RfpLayout(x, fmat.shape[1])
         load = np.array([1.0])
         draws = np.empty(10_000)
         for s in range(draws.size):
             _, load = draw_equation(
                 y, x, fmat, h, np.zeros(1), np.full(1, 1e6),
-                np.full(1, -2.0), np.full(1, 0.25), [POS], load, rng, xx,
+                np.full(1, -2.0), np.full(1, 0.25), [POS], load, rng, rfp,
             )
             draws[s] = load[0]
         assert len(fallbacks) > 0.99 * draws.size
@@ -242,13 +242,13 @@ class TestSampleBetaLoadings:
         y, x, fmat, h, bm, bv, lm, lv, load = self._block_inputs(
             np.random.default_rng(17), codes
         )
-        xx = gibbs.x_products(x)
+        rfp = gibbs.RfpLayout(x, fmat.shape[1])
         perm = np.array([3, 0, 5, 1, 4, 2])
 
         def run(order):
             rngs = [np.random.default_rng(100 + i) for i in order]
             return gibbs.sample_beta_loadings(
-                y[:, order], x, xx, fmat, h[:, order], bm[order], bv[order],
+                y[:, order], x, rfp, fmat, h[:, order], bm[order], bv[order],
                 lm[order], lv[order], codes[order], load[order], rngs,
             )
 
@@ -272,7 +272,7 @@ class TestSampleBetaLoadings:
         )
         k, r = x.shape[1], codes.shape[1]
         beta, out = gibbs.sample_beta_loadings(
-            y, x, gibbs.x_products(x), fmat, h, bm, bv, lm, lv, codes, load,
+            y, x, gibbs.RfpLayout(x, fmat.shape[1]), fmat, h, bm, bv, lm, lv, codes, load,
             [np.random.default_rng(200 + i) for i in range(len(codes))],
         )
         for i, row in enumerate(codes):
@@ -324,14 +324,14 @@ class TestSampleBetaLoadings:
             np.random.default_rng(21), codes
         )
         k = x.shape[1]
-        xx = gibbs.x_products(x)
+        rfp = gibbs.RfpLayout(x, fmat.shape[1])
         rngs = [np.random.default_rng(300 + i) for i in range(len(codes))]
         draws = 20_000
         beta = np.empty((draws, *bm.shape))
         out = np.empty((draws, *lm.shape))
         for s in range(draws):
             beta[s], load = gibbs.sample_beta_loadings(
-                y, x, xx, fmat, h, bm, bv, lm, lv, codes, load, rngs
+                y, x, rfp, fmat, h, bm, bv, lm, lv, codes, load, rngs
             )
             out[s] = load
         assert np.all(out[:, codes == ZERO] == 0.0)
@@ -367,7 +367,7 @@ class TestSampleBetaLoadings:
         lm = np.array([[3.0, -3.0], [-0.26, 0.0], [-2.0, 0.0]])
         lv = np.full((n, 2), 0.25)
         load = np.array([[1.0, -1.0], [1.0, 0.0], [1.0, 0.0]])
-        xx = gibbs.x_products(x)
+        rfp = gibbs.RfpLayout(x, fmat.shape[1])
 
         proposals, boxes = [], []
         propose, box = gibbs.tmvn.TruncatedMVN._propose, gibbs.tmvn.gibbs_sample_box
@@ -389,7 +389,7 @@ class TestSampleBetaLoadings:
             proposals.clear()
             boxes.clear()
             beta, out = gibbs.sample_beta_loadings(
-                y, x, xx, fmat, h, bm, bv, lm, lv, codes, load, joint
+                y, x, rfp, fmat, h, bm, bv, lm, lv, codes, load, joint
             )
             # one proposal for every row, then one batch for the rows that missed
             assert proposals[0] == (1, (0, 1, 2))
@@ -402,7 +402,7 @@ class TestSampleBetaLoadings:
                 boxes.clear()
                 b_i, l_i = draw_equation(
                     y[:, i], x, fmat, h[:, i], bm[i], bv[i], lm[i], lv[i], codes[i],
-                    load[i], alone[i], xx,
+                    load[i], alone[i], rfp,
                 )
                 assert np.allclose(beta[i], b_i, rtol=0, atol=1e-12)
                 assert np.allclose(out[i], l_i, rtol=0, atol=1e-12)
@@ -425,7 +425,7 @@ class TestSampleBetaLoadings:
         rngs = [np.random.default_rng(i) for i in range(3)]
         with pytest.raises(NumericalError, match="equation 1"):
             gibbs.sample_beta_loadings(
-                y, x, gibbs.x_products(x), fmat, h, bm, bv, lm, lv, codes,
+                y, x, gibbs.RfpLayout(x, fmat.shape[1]), fmat, h, bm, bv, lm, lv, codes,
                 load, rngs,
             )
 
@@ -446,6 +446,54 @@ class TestSampleBetaLoadings:
         settings = gibbs.McmcSettings(burn_in=2, draws=2, seed=1)
         with pytest.raises(NotPositiveDefiniteError, match=r"^sweep 0: factor precision"):
             gibbs.run_chain(y, x, spec, settings, reduced_form=True)
+
+
+class TestRfpLayout:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 8, 105])
+    def test_slots_round_trip_through_lapack(self, N):
+        # the slot map against LAPACK's own unpacking, for odd and even N
+        r = min(3, N - 1)
+        x = np.random.default_rng(N).standard_normal((4, N - 1 - r))
+        rfp = gibbs.RfpLayout(x, r)
+        il = np.tril_indices(N)
+        assert np.array_equal(rfp.pos, rfp.pos.T)
+        assert np.array_equal(np.sort(rfp.pos[il]), np.arange(N * (N + 1) // 2))
+        a = np.random.default_rng(100 + N).standard_normal((N, N))
+        arf = np.empty(N * (N + 1) // 2)
+        arf[rfp.pos[il]] = a[il]
+        back = scipy.linalg.lapack.dtfttr(N, arf, transr="N", uplo="L")[0]
+        assert np.array_equal(np.tril(back), np.tril(a))
+
+    @pytest.mark.parametrize("codes", [
+        np.array([[ZERO, FREE, POS], [FREE, FREE, FREE], [NEG, ZERO, ZERO],
+                  [POS, NEG, FREE], [ZERO, ZERO, ZERO]], dtype=np.int8),
+        np.zeros((3, 0), dtype=np.int8),
+    ])
+    def test_bordered_precisions_match_dense_build(self, codes):
+        # dense oracle: x'Wx + prior with the zero-restricted regressors'
+        # rows and columns dropped to a unit diagonal, bordered by the
+        # right-hand side and the corner; a second factor draw checks that
+        # the layout's factor rows are refreshed
+        rng = np.random.default_rng(23)
+        y, x, fmat, h, bm, bv, lm, lv, _ = TestSampleBetaLoadings._block_inputs(rng, codes)
+        (n, r), k = codes.shape, x.shape[1]
+        m = k + r
+        rfp = gibbs.RfpLayout(x, r)
+        for f in (fmat, rng.standard_normal(fmat.shape)):
+            a, keep = gibbs.bordered_precisions(y, x, rfp, f, h, bm, bv, lm, lv, codes)
+            for i in range(n):
+                kept = np.concatenate([np.ones(k, bool), codes[i] != ZERO])
+                z = np.column_stack([x, f]) * kept
+                w = np.exp(-h[:, i])
+                var0 = np.where(kept, np.concatenate([bv[i], lv[i]]), 1.0)
+                theta0 = np.where(kept, np.concatenate([bm[i], lm[i]]), 0.0)
+                want = np.zeros((m + 1, m + 1))
+                want[:m, :m] = (z * w[:, None]).T @ z + np.diag(1 / var0)
+                want[m, :m] = z.T @ (w * y[:, i]) + theta0 / var0
+                want[m, m] = 2 * (w @ y[:, i] ** 2 + np.sum(theta0**2 / var0)) + 1
+                got = scipy.linalg.lapack.dtfttr(m + 1, a[i], transr="N", uplo="L")[0]
+                assert np.array_equal(keep[i], kept)
+                assert np.allclose(np.tril(got), np.tril(want), rtol=1e-12, atol=1e-12)
 
 
 class TestVolatilityPath:

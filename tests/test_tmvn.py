@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from varfsv.tmvn import TruncatedMVN, gibbs_sample_box, ln_normal_prob, trandn
+from varfsv.tmvn import TruncatedMVN, gibbs_sample_box, ln_normal_prob, trandn, trandn_one
 
 
 def one_row(mean, root, lb, ub):
@@ -37,6 +37,24 @@ def test_trandn_far_tail():
     # conditional mean of the tail: phi(6)/Phibar(6) ~ 6.158
     want = stats.norm.pdf(6.0) / stats.norm.sf(6.0)
     assert x.mean() == pytest.approx(want, abs=0.01)
+
+
+@pytest.mark.parametrize(
+    "lb, ub",
+    [
+        (1.2, np.inf), (0.9, 1.4), (6.0, np.inf),     # right tail
+        (-np.inf, -0.8), (-2.5, -0.7),                # left tail
+        (-0.5, 1.0), (0.2, 0.6),                      # narrow centre
+        (-1.5, 2.0), (-0.3, np.inf), (-np.inf, np.inf),  # wide centre
+    ],
+)
+def test_trandn_one_matches_trandn_draw_for_draw(lb, ub):
+    # the same value and the same stream position afterwards, seed by seed,
+    # through the rejection loops of the tail and the wide centre too
+    for seed in range(500):
+        one, arr = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert trandn_one(one, lb, ub) == trandn(arr, np.array([lb]), np.array([ub]))[0]
+        assert one.random() == arr.random()
 
 
 def test_univariate_positive_truncation():
