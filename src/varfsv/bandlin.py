@@ -4,9 +4,9 @@ Cholesky factorization of a symmetric positive-definite band matrix,
 triangular solves, log-determinants, and exact Gaussian sampling from a
 distribution specified by its (banded) precision matrix.  The integrated
 likelihood's mode search and importance density run through these routines.
-The Gibbs sampler uses the band matrix for its volatility prior only: its
-volatility draw factors a tridiagonal precision by LAPACK `dpttrf`, and its
-factor draw solves the r x r per-period systems by `intlike.tri_solve`.
+The Gibbs sampler does not use this module: its volatility draw factors a
+tridiagonal precision by LAPACK `dpttrf`, and its factor draw solves the
+r x r per-period systems by `intlike.tri_solve`.
 
 Storage follows scipy's lower diagonal-ordered form: ``bands[d, j]`` holds
 entry ``(j + d, j)`` of the matrix, so row 0 is the main diagonal and row

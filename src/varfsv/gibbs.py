@@ -20,13 +20,12 @@ the conditionally independent equation draws.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
 from . import tmvn
-from .bandlin import BandSymMatrix
 from .exceptions import (
     ConfigError,
     NotPositiveDefiniteError,
@@ -103,7 +102,7 @@ class McmcChain:
     sig2: np.ndarray  # (S, n+r)
     h: np.ndarray  # (S, T, n+r)
     f: np.ndarray  # (S, T, r)
-    phi_accept: np.ndarray = field(default=None)  # (n+r,) acceptance rates
+    phi_accept: np.ndarray  # (n+r,) acceptance rates
 
     @property
     def size(self):
@@ -126,12 +125,10 @@ class McmcChain:
 
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
-        # an unset phi_accept is left out: np.load reads no None without pickle
-        extra = {} if self.phi_accept is None else {"phi_accept": self.phi_accept}
         np.savez_compressed(
             os.path.join(directory, "draws.npz"),
             beta=self.beta, load=self.load, mu=self.mu, phi=self.phi,
-            sig2=self.sig2, h=self.h, f=self.f, **extra,
+            sig2=self.sig2, h=self.h, f=self.f, phi_accept=self.phi_accept,
         )
         manifest = {
             "format": CHAIN_FORMAT,
@@ -159,7 +156,7 @@ class McmcChain:
             settings=McmcSettings(**manifest["settings"]),
             beta=data["beta"], load=data["load"], mu=data["mu"],
             phi=data["phi"], sig2=data["sig2"], h=data["h"], f=data["f"],
-            phi_accept=data["phi_accept"] if "phi_accept" in data else None,
+            phi_accept=data["phi_accept"],
         )
 
 
@@ -337,28 +334,24 @@ def _stacked_sv_draw(ystar, h_current, means, phi, sig2, rng):
     # series-major stacking: series i occupies [i*T, (i+1)*T)
     obs = (ystar - _MIX_MEAN[s]).T.ravel()
     obs_prec = (1.0 / _MIX_VAR[s]).T.ravel()
-    prior = _series_major_prior(phi, sig2, T)
-    rhs = prior.matvec(np.repeat(means, T)) + obs_prec * obs
+    # the AR(1) prior precision stacked the same way is tridiagonal, since
+    # each series' lag diagonal ends in a zero
+    main, lag = (a.ravel() for a in ar1_precision_diagonals(phi, sig2, T))
+    m = np.repeat(means, T)
+    rhs = m * main
+    if T > 1:
+        rhs[1:] += lag[:-1] * m[:-1]
+        rhs[:-1] += lag[:-1] * m[1:]
+    rhs += obs_prec * obs
     # at T = 1 the series are uncoupled; LAPACK takes one off-diagonal entry
     # even for a 1 x 1 matrix
-    lag = prior.bands[1, :-1] if T > 1 else np.zeros(max(d - 1, 1))
-    piv, low, info = lapack.dpttrf(prior.bands[0] + obs_prec, lag)
+    piv, low, info = lapack.dpttrf(main + obs_prec, lag[: max(d * T - 1, 1)])
     if info != 0 or not np.all((piv > 0) & (piv < np.inf)):
         raise NotPositiveDefiniteError("volatility precision not positive definite")
     # G z: sqrt(D) z, plus the unit lower bidiagonal L's one band below
     gz = np.sqrt(piv) * rng.standard_normal(d * T)
     gz[1:] += low[: d * T - 1] * gz[:-1]
     return lapack.dpttrs(piv, low, rhs + gz)[0].reshape(d, T).T
-
-
-def _series_major_prior(phi, sig2, T):
-    """AR(1) prior precision of the d = len(phi) paths stacked series by
-    series (series i occupies [i*T, (i+1)*T)): tridiagonal, since each
-    series' lag diagonal ends in a zero."""
-    main, lag = ar1_precision_diagonals(phi, sig2, T)
-    return BandSymMatrix(
-        np.vstack([main.ravel(), lag.ravel()]) if T > 1 else main.ravel()[None]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +486,8 @@ def run_chain(y, x, spec, settings, reduced_form=False):
         sig2=np.empty((stored, d)),
         h=np.empty((stored, T, d)),
         f=np.empty((stored, T, r)),
+        phi_accept=np.zeros(d),
     )
-    accept = np.zeros(d)
     total = settings.burn_in + settings.draws
     mean_full = np.concatenate([mu, np.zeros(r)])
     slot = 0
@@ -519,7 +512,7 @@ def run_chain(y, x, spec, settings, reduced_form=False):
                 h, mean_full, sig2, pri.phi_mean, pri.phi_var, phi, rng_phi
             )
             if sweep >= settings.burn_in:
-                accept += ok
+                chain.phi_accept += ok
         except NumericalError as exc:
             raise type(exc)(f"sweep {sweep}: {exc}") from exc
         post = sweep - settings.burn_in
@@ -532,5 +525,5 @@ def run_chain(y, x, spec, settings, reduced_form=False):
             chain.h[slot] = h
             chain.f[slot] = f
             slot += 1
-    chain.phi_accept = accept / max(settings.draws, 1)
+    chain.phi_accept /= settings.draws
     return chain

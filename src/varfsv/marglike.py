@@ -14,6 +14,7 @@ parameter draw the integrated likelihood is estimated with an inner
 simulation size adapted until the variance of the log estimate is about one.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,8 @@ from .exceptions import (
     InsufficientDrawsError,
     VarFsvError,
 )
-from .model import ZERO, ModelSpec, ParamDraw, SignMatrix, sign_bounds
+from .gibbs import run_chain
+from .model import ZERO, ModelSpec, ParamDraw, PriorSpec, SignMatrix, sign_bounds
 
 _LOG2PI = np.log(2.0 * np.pi)
 _VAR_FLOOR = 1e-10
@@ -301,10 +303,6 @@ def reduced_form_spec(spec, r):
     loading priors, and no sign restrictions.  Factor-series SV hyperpriors
     replicate the template's factor block when present, otherwise its first
     idiosyncratic values."""
-    import warnings
-
-    from .model import PriorSpec
-
     pri = spec.priors
     src = spec.n if len(pri.phi_mean) > spec.n else 0
 
@@ -334,8 +332,6 @@ def select_factor_count(y, x, spec_builder, candidates, settings, r2, seed):
     `VarFsvError`; any other error from the package propagates.  Chains run
     with `reduced_form=True`, so candidate specs need not point-identify
     the loadings."""
-    from .gibbs import run_chain
-
     if not candidates:
         raise ValueError("candidates must be nonempty")
     rows = []

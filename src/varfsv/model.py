@@ -1,7 +1,6 @@
 """Model and prior types for the factor-SV VAR, sign-restriction validation,
 and the variable-permutation machinery."""
 
-import csv
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -12,20 +11,19 @@ from .exceptions import DimensionMismatchError, NonPositiveScaleError
 
 # sign-restriction codes
 POS, NEG, ZERO, FREE = 1, -1, 0, 2
-_SIGN_TO_TEXT = {POS: "1", NEG: "-1", ZERO: "0", FREE: "NA"}
-_TEXT_TO_SIGN = {"1": POS, "+1": POS, "-1": NEG, "0": ZERO, "NA": FREE, "": FREE}
 
 
 class SignMatrix:
     """n x r grid of loading restrictions: positive, negative, zero, or free."""
 
     def __init__(self, codes):
-        codes = np.asarray(codes, dtype=np.int8)
+        codes = np.asarray(codes)
         if codes.ndim != 2:
             raise DimensionMismatchError("sign matrix must be 2-D")
+        # checked before the cast, which would truncate 0.7 to ZERO
         if not np.isin(codes, [POS, NEG, ZERO, FREE]).all():
             raise ValueError("sign entries must be one of POS, NEG, ZERO, FREE")
-        self.codes = codes
+        self.codes = codes.astype(np.int8, copy=False)
 
     @property
     def n(self):
@@ -43,35 +41,7 @@ class SignMatrix:
     def from_pattern(cls, loadings):
         """Sign pattern of a numeric matrix (zeros map to zero restrictions)."""
         arr = np.asarray(loadings, dtype=float)
-        codes = np.where(arr > 0, POS, np.where(arr < 0, NEG, ZERO))
-        return cls(codes.astype(np.int8))
-
-    @classmethod
-    def from_csv(cls, path):
-        rows = []
-        with open(path, newline="") as fh:
-            for line in csv.reader(fh):
-                if not line:
-                    continue
-                rows.append([_parse_sign_cell(c) for c in line])
-        if not rows:
-            raise ValueError(f"{path}: empty sign matrix")
-        return cls(np.array(rows, dtype=np.int8))
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in self.codes:
-                w.writerow([_SIGN_TO_TEXT[int(c)] for c in row])
-
-    def is_pos(self):
-        return self.codes == POS
-
-    def is_neg(self):
-        return self.codes == NEG
-
-    def is_zero(self):
-        return self.codes == ZERO
+        return cls(np.where(arr > 0, POS, np.where(arr < 0, NEG, ZERO)))
 
     def permute_rows(self, perm):
         return SignMatrix(self.codes[perm.order])
@@ -82,9 +52,10 @@ class SignMatrix:
         if arr.shape != self.codes.shape:
             raise DimensionMismatchError("loadings shape does not match sign matrix")
         ok = np.ones_like(arr, dtype=bool)
-        ok[self.is_pos()] = arr[self.is_pos()] > 0
-        ok[self.is_neg()] = arr[self.is_neg()] < 0
-        ok[self.is_zero()] = arr[self.is_zero()] == 0.0
+        pos, neg, zero = self.codes == POS, self.codes == NEG, self.codes == ZERO
+        ok[pos] = arr[pos] > 0
+        ok[neg] = arr[neg] < 0
+        ok[zero] = arr[zero] == 0.0
         return bool(ok.all())
 
 
@@ -97,20 +68,10 @@ def sign_bounds(codes):
     return lb, ub
 
 
-def _parse_sign_cell(cell):
-    key = cell.strip().upper()
-    if key in _TEXT_TO_SIGN:
-        return _TEXT_TO_SIGN[key]
-    raise ValueError(f"invalid sign entry {cell!r}; use 1, -1, 0 or NA")
-
-
 @dataclass
 class ValidationReport:
     passed: bool
     problems: list = field(default_factory=list)
-
-    def __bool__(self):
-        return self.passed
 
 
 def validate_point_identification(signs):
@@ -288,6 +249,19 @@ class ModelSpec:
             raise ValueError("need T > p")
         if self.signs.codes.shape != (self.n, self.r):
             raise DimensionMismatchError("sign matrix shape must be (n, r)")
+        n, k, d = self.n, self.k, self.n + self.r
+        for name, shape in (
+            ("beta_mean", (n, k)), ("beta_var", (n, k)),
+            ("load_mean", (n, self.r)), ("load_var", (n, self.r)),
+            ("mu_mean", (n,)), ("mu_var", (n,)),
+            ("phi_mean", (d,)), ("phi_var", (d,)),
+            ("sig2_shape", (d,)), ("sig2_scale", (d,)),
+        ):
+            got = getattr(self.priors, name).shape
+            if got != shape:
+                raise DimensionMismatchError(
+                    f"prior {name} has shape {got}, expected {shape}"
+                )
         if self.r > (self.n - 1) / 2:
             warnings.warn(
                 f"r={self.r} exceeds (n-1)/2={(self.n - 1) / 2}; loadings may not "
@@ -341,15 +315,6 @@ class ParamDraw:
     def beta_matrix(self):
         """(n, k) view: row i holds equation i's coefficients."""
         return self.beta.reshape(self.n, self.k)
-
-    def intercept(self):
-        return self.beta_matrix()[:, 0]
-
-    def lag_matrices(self):
-        """[A_1, ..., A_p], each (n, n) with A_j[i, m] the coefficient of
-        variable m at lag j in equation i."""
-        bm = self.beta_matrix()
-        return [bm[:, 1 + j * self.n : 1 + (j + 1) * self.n] for j in range(self.p)]
 
     def validate(self, signs=None):
         if np.any(np.abs(self.phi) >= 1):

@@ -869,18 +869,8 @@ class TestRunChain:
         back = gibbs.McmcChain.read(tmp_path / "chain")
         assert np.array_equal(back.beta, chain.beta)
         assert np.array_equal(back.h, chain.h)
+        assert np.array_equal(back.phi_accept, chain.phi_accept)
         assert back.settings == chain.settings
-
-    def test_save_load_round_trip_without_phi_accept(self, tmp_path):
-        rng = np.random.default_rng(16)
-        y, x, spec = tiny_spec(rng, T=22)
-        settings = gibbs.McmcSettings(burn_in=2, draws=3, seed=2)
-        chain = gibbs.run_chain(y, x, spec, settings, reduced_form=True)
-        chain.phi_accept = None
-        chain.save(tmp_path / "chain")
-        back = gibbs.McmcChain.read(tmp_path / "chain")
-        assert back.phi_accept is None
-        assert np.array_equal(back.load, chain.load)
 
     @pytest.mark.slow
     def test_order_invariance_in_distribution(self):

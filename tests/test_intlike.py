@@ -43,35 +43,15 @@ def dense_state_covariance(mu, phi, sig2, T):
 
 
 class TestStatePrior:
-    def test_assembly_matches_dense(self):
-        rng = np.random.default_rng(0)
+    @pytest.mark.parametrize("T", [1, 4])
+    def test_assembly_matches_dense(self, T):
         mu = np.array([-1.0, 0.5])
         phi = np.array([0.9, -0.3, 0.6])
         sig2 = np.array([0.1, 0.2, 0.05])
-        T = 4
         prior = intlike.StatePriorAssembly.build(mu, phi, sig2, T)
         m, cov = dense_state_covariance(mu, phi, sig2, T)
         assert np.allclose(prior.mean, m)
         assert np.allclose(prior.precision.to_dense(), np.linalg.inv(cov), atol=1e-10)
-
-    @pytest.mark.parametrize("T", [1, 4])
-    def test_series_and_time_major_bands_agree(self, T):
-        # the Gibbs volatility block stacks the paths series by series, the
-        # likelihood period by period; both must hold the same precision
-        mu = np.array([-1.0, 0.5])
-        phi = np.array([0.9, -0.3, 0.6])
-        sig2 = np.array([0.1, 0.2, 0.05])
-        d = len(phi)
-        time_major = intlike.StatePriorAssembly.build(mu, phi, sig2, T).precision
-        series_major = gibbs._series_major_prior(phi, sig2, T)
-        assert series_major.bandwidth == min(1, T - 1)
-        # coordinate t*d + i of the time-major stack is i*T + t series-major
-        perm = np.arange(T * d).reshape(d, T).T.ravel()
-        assert np.array_equal(
-            series_major.to_dense()[np.ix_(perm, perm)], time_major.to_dense()
-        )
-        _, cov = dense_state_covariance(mu, phi, sig2, T)
-        assert np.allclose(time_major.to_dense(), np.linalg.inv(cov), atol=1e-10)
 
     def test_log_state_prior_T1_is_stationary_density(self):
         mu = np.array([-1.0])

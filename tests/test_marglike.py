@@ -50,6 +50,7 @@ class TestCeFamily:
             n=chain.n, p=chain.p, r=chain.r, T=chain.T, settings=chain.settings,
             beta=chain.beta[:10], load=chain.load[:10], mu=chain.mu[:10],
             phi=chain.phi[:10], sig2=chain.sig2[:10], h=chain.h[:10], f=chain.f[:10],
+            phi_accept=chain.phi_accept,
         )
         with pytest.raises(InsufficientDrawsError):
             marglike.fit_ce_family(short)
@@ -74,7 +75,7 @@ class TestCeFamily:
             n=chain.n, p=chain.p, r=chain.r, T=chain.T, settings=chain.settings,
             beta=chain.beta[perm], load=chain.load[perm], mu=chain.mu[perm],
             phi=chain.phi[perm], sig2=chain.sig2[perm], h=chain.h[perm],
-            f=chain.f[perm],
+            f=chain.f[perm], phi_accept=chain.phi_accept,
         )
         fam2 = marglike.fit_ce_family(shuffled)
         assert np.allclose(fam1.beta_mean, fam2.beta_mean, atol=1e-12)
@@ -159,6 +160,7 @@ class TestWeights:
             sig2=stats.invgamma.rvs(4.0, scale=0.18, size=(size, n + r),
                                     random_state=rng),
             h=np.zeros((size, T, n + r)), f=np.zeros((size, T, r)),
+            phi_accept=np.zeros(n + r),
         )
         fam = marglike.fit_ce_family(chain)
         assert fam.load_mean.shape == (n, r) and fam.load_var.shape == (n, r)

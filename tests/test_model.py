@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varfsv import model as m
-from varfsv.exceptions import NonPositiveScaleError
+from varfsv.exceptions import DimensionMismatchError, NonPositiveScaleError
 
 # 20-variable / 5-shock example pattern used in the shipped example config
 PATTERN_20x5 = [
@@ -139,8 +139,9 @@ class TestPermutation:
         )
         states = m.LatentStates(h=np.zeros((4, 3)), f=np.zeros((4, 1)))
         swapped, _ = m.permute_model(draw, states, perm=m.Permutation([1, 0]))
-        assert np.allclose(swapped.lag_matrices()[0], [[d, c], [b, a]])
-        assert np.allclose(swapped.intercept(), [1.0, 0.0])
+        bm = swapped.beta_matrix()
+        assert np.allclose(bm[:, 1:], [[d, c], [b, a]])  # the lag-1 matrix
+        assert np.allclose(bm[:, 0], [1.0, 0.0])  # the intercepts
         assert np.allclose(swapped.load.ravel(), [2.0, 1.0])
         assert np.allclose(swapped.phi, [0.6, 0.5, 0.7])
 
@@ -200,12 +201,31 @@ class TestTypes:
         assert not s.satisfied_by(np.array([[0.0, 0.0], [-0.1, 3.0]]))
         assert not s.satisfied_by(np.array([[0.5, 1e-300], [-0.1, 3.0]]))
 
-    def test_sign_matrix_csv_round_trip(self, tmp_path):
-        s = signs_from_pattern(PATTERN_20x5)
-        path = tmp_path / "signs.csv"
-        s.to_csv(path)
-        s2 = m.SignMatrix.from_csv(path)
-        assert np.array_equal(s.codes, s2.codes)
+    def test_sign_matrix_rejects_non_codes(self):
+        # a cast to int8 first would read 0.7 as ZERO and 1.9 as POS
+        with pytest.raises(ValueError, match="sign entries"):
+            m.SignMatrix([[0.7, -1.2], [1.9, 2.0]])
+        s = m.SignMatrix([[1.0, -1.0], [0.0, 2.0]])
+        assert s.codes.dtype == np.int8
+        assert np.array_equal(s.codes, [[m.POS, m.NEG], [m.ZERO, m.FREE]])
+
+    @pytest.mark.parametrize("name, shape", [
+        ("beta_mean", (3, 5)), ("load_var", (3, 2)), ("mu_mean", (2,)),
+        ("phi_mean", (5,)), ("sig2_scale", (3,)),
+    ])
+    def test_modelspec_rejects_prior_shapes(self, name, shape):
+        # n=3, p=1, r=1 needs beta (3, 4), loadings (3, 1), mu (3,), SV (4,)
+        pri = m.default_priors(np.random.default_rng(4).standard_normal((40, 3)), 3, 1, 1)
+        fields = {f: getattr(pri, f) for f in pri.__dataclass_fields__}
+        fields[name] = np.ones(shape)
+        with pytest.raises(DimensionMismatchError, match=name):
+            m.ModelSpec(n=3, p=1, r=1, T=30, priors=m.PriorSpec(**fields),
+                        signs=m.SignMatrix.all_free(3, 1))
+
+    def test_modelspec_rejects_priors_for_other_r(self):
+        pri = m.default_priors(np.random.default_rng(5).standard_normal((40, 3)), 3, 1, 2)
+        with pytest.raises(DimensionMismatchError, match="load_mean"):
+            m.ModelSpec(n=3, p=1, r=1, T=30, priors=pri, signs=m.SignMatrix.all_free(3, 1))
 
     def test_build_lagged_layout(self):
         raw = np.arange(12.0).reshape(6, 2)
