@@ -316,7 +316,10 @@ def _mixture_indicators(ystar, h, rng):
         p[j] = _MIX_LOG_NORM[j] - (dev - _MIX_MEAN[j]) ** 2 / (2.0 * _MIX_VAR[j])
     p -= p.max(axis=0)
     np.exp(p, out=p)
-    np.cumsum(p, axis=0, out=p)
+    # running sums over the components, the additions of np.cumsum(axis=0)
+    # in the same order without its strided scan
+    for j in range(1, len(_MIX_MEAN)):
+        p[j] += p[j - 1]
     u = rng.uniform(size=dev.shape) * p[-1]
     return np.count_nonzero(p[:-1] < u, axis=0)
 

@@ -1,5 +1,10 @@
 """Data-generating processes for recovery checks and the factor-count
-selection experiments."""
+selection experiments.
+
+`generate_dataset` redraws the VAR coefficients until the companion spectral
+radius is below 0.999.  Most rejected draws are caught by `certainly_unstable`,
+a trace-power bound that can only ever reject (|tr(B^k)| <= dim rho(B)^k), so
+the datasets are those of the eigenvalue test alone."""
 
 from dataclasses import dataclass, field
 
@@ -13,6 +18,7 @@ _PHI = 0.98  # AR coefficient of every log-volatility path
 _SIG2 = 0.01  # innovation variance of every log-volatility path
 _STABILITY_RADIUS = 0.999  # largest companion spectral radius accepted
 _MAX_RESIMULATIONS = 1000
+_TRACE_SQUARINGS = 10  # powers up to 2^10 in the instability pretest
 
 
 @dataclass
@@ -58,32 +64,42 @@ def draw_var_coefficients(cfg, rng):
     return a0, mats
 
 
-def companion_radius(mats):
+def _companion(mats):
     n = mats[0].shape[0]
     p = len(mats)
     comp = np.zeros((n * p, n * p))
     comp[:n] = np.hstack(mats)
     if p > 1:
         comp[n:, : n * (p - 1)] = np.eye(n * (p - 1))
-    return np.max(np.abs(np.linalg.eigvals(comp)))
+    return comp
 
 
-def real_root_beyond(mats, bound):
-    """True when the companion matrix of (A_1..A_p) has a real eigenvalue
-    beyond +bound or below -bound, so that its spectral radius exceeds bound.
+def companion_radius(mats):
+    return np.max(np.abs(np.linalg.eigvals(_companion(mats))))
 
-    The companion matrix's characteristic polynomial is
-    chi(s) = det(s^p I - s^{p-1} A_1 - ... - A_p), monic of degree n*p, so
-    chi(s) < 0 at s = bound puts a real root above bound, and
-    (-1)^{np} chi(s) < 0 at s = -bound one below -bound.  Each test is one
-    n x n LU, against an np x np eigenproblem for `companion_radius`; a
-    False answer says nothing.
+
+def certainly_unstable(mats, bound):
+    """True when a trace of a power of the companion matrix C of (A_1..A_p)
+    proves its spectral radius at least `bound`.
+
+    With B = C / bound of dimension m = n*p, every power has
+    |tr(B^k)| = |sum_i lambda_i^k| <= m rho(B)^k, so |tr(B^k)| > m puts
+    rho(C) above bound.  B is squared up to `_TRACE_SQUARINGS` times
+    (k = 1, 2, 4, ..., 1024), stopping at the first trace beyond 2 m; the
+    factor 2 is margin for rounding.  Each step is one m x m product, against
+    an m x m eigenproblem for `companion_radius`.  A non-finite trace ends
+    the test with False, and a False answer says nothing.
     """
-    n, p = mats[0].shape[0], len(mats)
-    for s in (bound, -bound):
-        poly = s**p * np.eye(n) - sum(s ** (p - j) * a for j, a in enumerate(mats, 1))
-        if np.linalg.slogdet(poly)[0] * np.sign(s) ** (n * p) < 0:
+    power = _companion(mats) / bound
+    limit = 2.0 * power.shape[0]
+    for j in range(_TRACE_SQUARINGS + 1):
+        trace = np.trace(power)
+        if not np.isfinite(trace):
+            return False
+        if abs(trace) > limit:
             return True
+        if j < _TRACE_SQUARINGS:
+            power = power @ power
     return False
 
 
@@ -104,9 +120,13 @@ def generate_dataset(cfg, rng=None):
     """Simulate one dataset and its generating parameters.
 
     The VAR coefficient draw is repeated until the companion spectral radius
-    is below `_STABILITY_RADIUS` (the count is reported); draws with a real
-    root beyond it are rejected by `real_root_beyond` before any eigenvalue
-    is computed.  The returned truth folds the theta scaling of the
+    is below `_STABILITY_RADIUS` (the count is reported).  A draw with
+    |tr(B^(2^j))| > 2 n p for some j <= 10, B the companion matrix over the
+    bound, is rejected by `certainly_unstable` before any eigenvalue is
+    computed.  Since |tr(B^k)| <= n p rho(B)^k, that bound only ever rejects
+    draws the eigenvalue test rejects too, and every draw it passes goes to
+    `companion_radius`, so the datasets are those of the eigenvalue test
+    alone.  The returned truth folds the theta scaling of the
     idiosyncratic errors into their log-volatility paths and means, so it is
     an exact parameter point of the estimated model class.
     """
@@ -116,7 +136,7 @@ def generate_dataset(cfg, rng=None):
     a0, mats = draw_var_coefficients(cfg, rng)
     resim = 0
     while (
-        real_root_beyond(mats, _STABILITY_RADIUS)
+        certainly_unstable(mats, _STABILITY_RADIUS)
         or companion_radius(mats) >= _STABILITY_RADIUS
     ):
         resim += 1

@@ -518,6 +518,31 @@ class TestVolatilityPath:
         s = gibbs._mixture_indicators(ystar, h, TopUniform())
         assert s.min() >= 0 and s.max() <= 6
 
+    @pytest.mark.parametrize("T", [1, 7, 200])
+    @pytest.mark.parametrize("d", [1, 23])
+    def test_indicators_match_a_cumsum_reference_bit_for_bit(self, T, d):
+        rng = np.random.default_rng(100 * T + d)
+        ystar = rng.normal(-1.0, 3.0, (T, d))
+        h = rng.normal(0.0, 2.0, (T, d))
+        dev = ystar - h
+        logp = gibbs._MIX_LOG_NORM[:, None, None] - (
+            dev - gibbs._MIX_MEAN[:, None, None]
+        ) ** 2 / (2.0 * gibbs._MIX_VAR[:, None, None])
+        cum = np.cumsum(np.exp(logp - logp.max(axis=0)), axis=0)
+        # uniforms on the reference's component boundaries, where a sum one
+        # ulp off flips an indicator
+        k = rng.integers(0, 6, (T, d))
+        v = np.take_along_axis(cum, k[None], axis=0)[0] / cum[-1]
+
+        class BoundaryUniform:
+            def uniform(self, size=None):
+                assert size == (T, d)
+                return v.copy()
+
+        want = np.count_nonzero(cum[:-1] < v * cum[-1], axis=0)
+        got = gibbs._mixture_indicators(ystar, h, BoundaryUniform())
+        np.testing.assert_array_equal(got, want)
+
     def test_indicator_frequencies_match_posterior_probabilities(self):
         # at ystar - h = +100 every unshifted component density underflows
         # to 0; component 0 (the widest) then takes all the mass
