@@ -3,8 +3,10 @@
 Cholesky factorization of a symmetric positive-definite band matrix,
 triangular solves, log-determinants, and exact Gaussian sampling from a
 distribution specified by its (banded) precision matrix.  The integrated
-likelihood's mode search and importance density run through these routines.
-The Gibbs sampler does not use this module: its volatility draw factors a
+likelihood's mode search and importance density run through these routines;
+the AR(1) state prior is not kept here, `intlike.neg_q_hessian` writes its
+two diagonals into the bands of each -H_Q.  The Gibbs sampler does not use
+this module: its volatility draw factors a
 tridiagonal precision by LAPACK `dpttrf`, and its factor draw solves the
 r x r per-period systems by `intlike.tri_solve`.
 
@@ -111,15 +113,6 @@ class BandSymMatrix:
     def quad_form(self, x):
         """x' A x, batched over leading axes of x."""
         return np.sum(np.asarray(x) * self.matvec(x), axis=-1)
-
-    def add_diagonal(self, v):
-        """A + diag(v) as a new matrix."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise DimensionMismatchError("diagonal length does not match dim")
-        bands = self.bands.copy()
-        bands[0] += v
-        return BandSymMatrix(bands)
 
     def cholesky(self):
         """Lower Cholesky factor G with G G' = A; bandwidth is preserved."""

@@ -13,6 +13,10 @@ coefficients (independence-chain Metropolis-Hastings).  The SV parameters of
 different series are conditionally independent given the paths, so each of
 the last three steps draws all series at once.
 
+The equation block's fixed inputs are built once per chain (`RfpLayout`),
+and the VAR residuals once per sweep, after the beta draw: the volatility
+step and the next sweep's factor draw both read them.
+
 Each block consumes randomness from its own spawned stream, so chain output
 is bit-reproducible from the seed and invariant to the internal ordering of
 the conditionally independent equation draws.
@@ -20,7 +24,7 @@ the conditionally independent equation draws.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -32,13 +36,13 @@ from .exceptions import (
     NumericalError,
     TruncationFailureError,
 )
-from .intlike import ar1_precision_diagonals, factor_precision, residuals, tri_solve
+from .intlike import (ar1_precision_diagonals, ar1_precision_times, factor_precision,
+                      residuals, tri_solve)
 from .model import (
     FREE,
     NEG,
     POS,
     ZERO,
-    LatentStates,
     ParamDraw,
     sign_bounds,
     validate_point_identification,
@@ -112,15 +116,10 @@ class McmcChain:
     def k(self):
         return self.n * self.p + 1
 
-    def param_draw(self, s):
-        return ParamDraw(
-            beta=self.beta[s], load=self.load[s], mu=self.mu[s],
-            phi=self.phi[s], sig2=self.sig2[s],
-        )
-
     def validate_records(self, signs=None):
         for s in range(self.size):
-            self.param_draw(s).validate(signs)
+            ParamDraw(beta=self.beta[s], load=self.load[s], mu=self.mu[s],
+                      phi=self.phi[s], sig2=self.sig2[s]).validate(signs)
         return True
 
     def save(self, directory):
@@ -133,12 +132,7 @@ class McmcChain:
         manifest = {
             "format": CHAIN_FORMAT,
             "n": self.n, "p": self.p, "r": self.r, "T": self.T,
-            "settings": {
-                "burn_in": self.settings.burn_in,
-                "draws": self.settings.draws,
-                "thin": self.settings.thin,
-                "seed": self.settings.seed,
-            },
+            "settings": asdict(self.settings),
             "stored": int(self.size),
         }
         with open(os.path.join(directory, "chain.json"), "w") as fh:
@@ -146,30 +140,37 @@ class McmcChain:
 
     @classmethod
     def read(cls, directory):
+        """The chain saved in `directory`; ConfigError if draws.npz disagrees
+        with chain.json on the stored count or on any n, r, T or n + r axis."""
         with open(os.path.join(directory, "chain.json")) as fh:
             manifest = json.load(fh)
         if manifest.get("format") != CHAIN_FORMAT:
             raise ConfigError(f"unsupported chain format in {directory}")
-        data = np.load(os.path.join(directory, "draws.npz"))
-        return cls(
-            n=manifest["n"], p=manifest["p"], r=manifest["r"], T=manifest["T"],
-            settings=McmcSettings(**manifest["settings"]),
-            beta=data["beta"], load=data["load"], mu=data["mu"],
-            phi=data["phi"], sig2=data["sig2"], h=data["h"], f=data["f"],
-            phi_accept=data["phi_accept"],
-        )
+        s, n, p, r, T = (manifest[key] for key in ("stored", "n", "p", "r", "T"))
+        shapes = {"beta": (s, n * (n * p + 1)), "load": (s, n, r), "mu": (s, n),
+                  "phi": (s, n + r), "sig2": (s, n + r), "h": (s, T, n + r),
+                  "f": (s, T, r), "phi_accept": (n + r,)}
+        with np.load(os.path.join(directory, "draws.npz")) as data:
+            arrays = {name: data[name] for name in shapes}
+        bad = [name for name, shape in shapes.items() if arrays[name].shape != shape]
+        if bad:
+            raise ConfigError(f"draws.npz in {directory} disagrees with chain.json "
+                              f"on the shape of {', '.join(bad)}")
+        return cls(n=n, p=p, r=r, T=T, settings=McmcSettings(**manifest["settings"]),
+                   **arrays)
 
 
 # ---------------------------------------------------------------------------
 # step 1: latent factors
 
 
-def sample_factors(y, x, draw, h, rng):
-    """Joint draw of all factor paths from N(f-hat, K_f^{-1}); K_f is block
+def sample_factors(eps, load, h, rng):
+    """Joint draw of all factor paths given the VAR residuals `eps` (T, n),
+    the loadings and the paths h, from N(f-hat, K_f^{-1}); K_f is block
     diagonal over time, so with K_t = C_t C_t' a draw is
     f_t = C_t'^{-1} (u_t + z_t), u_t = C_t^{-1} b_t, with the T*r standard
     normals z taken time-major."""
-    c, u, _ = factor_precision(residuals(y, x, draw.beta), draw.load, h)
+    c, u, _ = factor_precision(eps, load, h)
     return tri_solve(c, u + rng.standard_normal(u.shape), trans=True)
 
 
@@ -178,18 +179,27 @@ def sample_factors(y, x, draw, h, rng):
 
 
 class RfpLayout:
-    """The bordered (N, N), N = k + r + 1, posterior precisions of
-    `sample_beta_loadings` in LAPACK's rectangular full packed (RFP) format
-    (transr 'N', uplo 'L'): `pos[i, j]` is the slot of entry (i, j) in the
-    length-N(N+1)/2 array, symmetric, so row `pos[i]` lists every slot of
-    row and column i.  `prod` holds, one row per period t, the products of
-    the entries of (x_t, f_t) in slot order: the x block is filled here, the
-    factor rows by every `bordered_precisions` call, and the border row
-    stays zero, so the data part of all n precisions is one product of
-    exp(-h)' with it."""
+    """Everything fixed over a chain about the n equations' conditionals of
+    (beta_i, l_i), from x (T, k), the prior means and variances ((n, k) and
+    (n, r)) and the (n, r) sign codes: the mask `keep` of the coordinates
+    that are not zero-restricted and the pairs (`zero_eq`, `zero_col`) that
+    are, the prior diagonal 1/var0, right-hand side theta0/var0 and corner
+    sum theta0'P theta0 (`prior_prec`, `prior_rhs`, `prior_corner`), and the
+    `signed` and `free` equations, with the signed ones' bounds `lb`, `ub`.
 
-    def __init__(self, x, r):
+    The bordered (N, N), N = k + r + 1, posterior precisions of
+    `sample_beta_loadings` are held in LAPACK's rectangular full packed
+    (RFP) format (transr 'N', uplo 'L'): `pos[i, j]` is the slot of entry
+    (i, j) in the length-N(N+1)/2 array, symmetric, so row `pos[i]` lists
+    every slot of row and column i.  `prod` holds, one row per period t, the
+    products of the entries of (x_t, f_t) in slot order: the x block is
+    filled here, the factor rows by every `bordered_precisions` call, and
+    the border row stays zero, so the data part of all n precisions is one
+    product of exp(-h)' with it."""
+
+    def __init__(self, x, beta_mean, beta_var, load_mean, load_var, codes):
         T, k = x.shape
+        n, r = codes.shape
         N = k + r + 1
         # dtrttf moves the label i*N + j of entry (i, j) to that entry's slot
         labels = lapack.dtrttf(np.arange(N * N, dtype=float).reshape(N, N),
@@ -200,6 +210,7 @@ class RfpLayout:
         self.pos = pos + np.tril(pos, -1).T
         i, j = np.tril_indices(N - 1)
         fac = i >= k
+        self.x = x
         self.prod = np.zeros((T, labels.size))
         self.prod[:, self.pos[i[~fac], j[~fac]]] = x[:, i[~fac]] * x[:, j[~fac]]
         # the factor rows' entries in slot order, so each refresh writes forward
@@ -207,45 +218,48 @@ class RfpLayout:
         self.fac_rows, self.fac_cols = i[fac][order], j[fac][order]
         self.fac_slots = self.pos[self.fac_rows, self.fac_cols]
 
+        self.keep = np.concatenate([np.ones((n, k), bool), codes != ZERO], axis=1)
+        var0 = np.where(self.keep, np.concatenate([beta_var, load_var], axis=1), 1.0)
+        theta0 = np.where(self.keep, np.concatenate([beta_mean, load_mean], axis=1), 0.0)
+        self.prior_prec = 1.0 / var0
+        self.prior_rhs = theta0 / var0
+        self.prior_corner = np.sum(theta0**2 / var0, axis=1)
+        self.zero_eq, self.zero_col = np.nonzero(~self.keep)
+        is_signed = np.any((codes == POS) | (codes == NEG), axis=1)
+        self.signed, self.free = np.flatnonzero(is_signed), np.flatnonzero(~is_signed)
+        self.lb, self.ub = sign_bounds(codes[self.signed])
 
-def bordered_precisions(y, x, rfp, fmat, h, beta_mean, beta_var, load_mean,
-                         load_var, codes):
+
+def bordered_precisions(y, rfp, fmat, h):
     """The n bordered posterior precisions [[K_i, .], [b_i', c_i]] of the
     equations' (beta_i, l_i), one RFP array per row of the (n, N(N+1)/2)
-    result, and the (n, k + r) mask of coordinates that are not
-    zero-restricted.  Only the lower triangle of each is defined."""
-    n, k, r = y.shape[1], x.shape[1], fmat.shape[1]
-    m = k + r
+    result.  Only the lower triangle of each is defined."""
+    m = rfp.keep.shape[1]
     pos = rfp.pos
-    keep = np.concatenate([np.ones((n, k), bool), codes != ZERO], axis=1)
-    var0 = np.where(keep, np.concatenate([beta_var, load_var], axis=1), 1.0)
-    theta0 = np.where(keep, np.concatenate([beta_mean, load_mean], axis=1), 0.0)
     w = np.exp(-h.T)
     wy = w * y.T
-    xf = np.concatenate([x, fmat], axis=1)
+    xf = np.concatenate([rfp.x, fmat], axis=1)
     rfp.prod[:, rfp.fac_slots] = xf[:, rfp.fac_rows] * xf[:, rfp.fac_cols]
     a = w @ rfp.prod
     diag = np.arange(m)
-    a[:, pos[diag, diag]] += 1.0 / var0
-    a[:, pos[m, :m]] = wy @ xf + theta0 / var0
+    a[:, pos[diag, diag]] += rfp.prior_prec
+    a[:, pos[m, :m]] = wy @ xf + rfp.prior_rhs
     # the corner only has to exceed |u|^2 = b'K^{-1}b <= y'Wy + theta0'P theta0;
     # twice that keeps rounding in |u|^2 from ever reaching it
-    a[:, pos[m, m]] = 2.0 * (np.sum(wy * y.T, axis=1) + np.sum(theta0**2 / var0, axis=1)) + 1.0
+    a[:, pos[m, m]] = 2.0 * (np.sum(wy * y.T, axis=1) + rfp.prior_corner) + 1.0
     # zero-restricted coordinates: no cross terms, no right-hand side, unit
     # diagonal (row pos[c] holds every slot of row and column c)
-    eq, col = np.nonzero(~keep)
-    a[eq[:, None], pos[col]] = 0.0
-    a[eq, pos[col, col]] = 1.0
-    return a, keep
+    a[rfp.zero_eq[:, None], pos[rfp.zero_col]] = 0.0
+    a[rfp.zero_eq, pos[rfp.zero_col, rfp.zero_col]] = 1.0
+    return a
 
 
-def sample_beta_loadings(y, x, rfp, fmat, h, beta_mean, beta_var, load_mean,
-                         load_var, codes, load, rngs):
+def sample_beta_loadings(y, rfp, fmat, h, load, rngs):
     """Joint draw of (beta_i, l_i) for all n equations from their truncated
     normal conditionals; returns the (n, k) coefficients and (n, r) loadings.
 
     The n posterior precisions are built together in the RFP layout `rfp`
-    (an `RfpLayout` of x and r): x'W_i x for all of them from one product of
+    (the chain's `RfpLayout`): x'W_i x for all of them from one product of
     exp(-h) with its products, bordered by their right-hand sides b, so one
     in-place `dpftrf` per equation gives L and, in its last row,
     u = L^{-1} b; a draw is theta = L'^{-1}(u + z), one `dtfsm` on
@@ -259,12 +273,10 @@ def sample_beta_loadings(y, x, rfp, fmat, h, beta_mean, beta_var, load_mean,
     conditional from z_l = L22'(l - l_hat), which for an accepted proposal is
     that proposal's own normal vector.  Equation i draws only from `rngs[i]`:
     one proposal, the batch only on a miss, the box, then k normals."""
-    n, k, r = y.shape[1], x.shape[1], fmat.shape[1]
-    m, pos = k + r, rfp.pos
-    a, keep = bordered_precisions(y, x, rfp, fmat, h, beta_mean, beta_var,
-                                  load_mean, load_var, codes)
+    n, k, r = y.shape[1], rfp.x.shape[1], fmat.shape[1]
+    m, pos, keep, signed, lb, ub = k + r, rfp.pos, rfp.keep, rfp.signed, rfp.lb, rfp.ub
+    a = bordered_precisions(y, rfp, fmat, h)
 
-    is_signed = np.any((codes == POS) | (codes == NEG), axis=1)
     for i in range(n):
         # in place: row i becomes the factor [[L, 0], [u', .]] in the same layout
         if lapack.dpftrf(m + 1, a[i], transr="N", uplo="L", overwrite_a=1)[1] != 0:
@@ -272,15 +284,13 @@ def sample_beta_loadings(y, x, rfp, fmat, h, beta_mean, beta_var, load_mean,
     # right-hand sides [u + z; 0]: the last unknown of the bordered solve is 0
     b = np.zeros((n, m + 1))
     b[:, :m] = a[:, pos[m, :m]]
-    for i in np.flatnonzero(~is_signed):
+    for i in rfp.free:
         b[i, :m][keep[i]] += rngs[i].standard_normal(np.count_nonzero(keep[i]))
-    signed = np.flatnonzero(is_signed)
     if signed.size:
         # L22 is the factor's lower triangle on rows and columns k..m-1
         l22 = a[signed[:, None, None], pos[k:m, k:m]] * np.tri(r)
         l_hat = tri_solve(l22, b[signed, k:m], trans=True)
         root = tri_solve(l22, np.broadcast_to(np.eye(r), l22.shape), trans=True)
-        lb, ub = sign_bounds(codes[signed])
         l_draw, z_l = tmvn.TruncatedMVN(l_hat, root, lb, ub).sample_one(
             [rngs[i] for i in signed]
         )
@@ -340,11 +350,7 @@ def _stacked_sv_draw(ystar, h_current, means, phi, sig2, rng):
     # the AR(1) prior precision stacked the same way is tridiagonal, since
     # each series' lag diagonal ends in a zero
     main, lag = (a.ravel() for a in ar1_precision_diagonals(phi, sig2, T))
-    m = np.repeat(means, T)
-    rhs = m * main
-    if T > 1:
-        rhs[1:] += lag[:-1] * m[:-1]
-        rhs[:-1] += lag[:-1] * m[1:]
+    rhs = ar1_precision_times(main, lag, np.repeat(means, T), 1)
     rhs += obs_prec * obs
     # at T = 1 the series are uncoupled; LAPACK takes one off-diagonal entry
     # even for a 1 x 1 matrix
@@ -422,8 +428,9 @@ def sample_phi(h, mu, sig2, phi0, v_phi, phi_cur, rng):
 
 def initial_values(spec, rng):
     """Starting point inside all support constraints: prior-mean coefficients
-    and volatility means, zero factors, loadings of magnitude 0.1 obeying the
-    signs, phi = 0.95, sig2 = 0.01."""
+    and volatility means, loadings of magnitude 0.1 obeying the signs,
+    phi = 0.95, sig2 = 0.01, and the (T, n + r) log-volatility paths at
+    their means.  Returns (draw, h)."""
     n, r = spec.n, spec.r
     codes = spec.signs.codes
     flip = np.where(rng.uniform(size=codes.shape) < 0.5, -1.0, 1.0)
@@ -435,9 +442,7 @@ def initial_values(spec, rng):
         phi=np.full(n + r, 0.95),
         sig2=np.full(n + r, 0.01),
     )
-    h = np.tile(np.concatenate([draw.mu, np.zeros(r)]), (spec.T, 1))
-    states = LatentStates(h=h, f=np.zeros((spec.T, r)))
-    return draw, states
+    return draw, np.tile(np.concatenate([draw.mu, np.zeros(r)]), (spec.T, 1))
 
 
 def run_chain(y, x, spec, settings, reduced_form=False):
@@ -473,11 +478,12 @@ def run_chain(y, x, spec, settings, reduced_form=False):
     rng_phi = np.random.default_rng(streams[4])
     rng_eq = [np.random.default_rng(s) for s in streams[5:]]
 
-    draw, states = initial_values(spec, rng_init)
-    beta_mat, load, h = draw.beta_matrix(), draw.load, states.h
+    draw, h = initial_values(spec, rng_init)
+    beta_mat, load = draw.beta_matrix(), draw.load
     mu, phi, sig2 = draw.mu, draw.phi, draw.sig2
     pri = spec.priors
-    rfp = RfpLayout(x, r)
+    rfp = RfpLayout(x, pri.beta_mean, pri.beta_var, pri.load_mean, pri.load_var,
+                    spec.signs.codes)
 
     stored = settings.stored
     chain = McmcChain(
@@ -493,17 +499,16 @@ def run_chain(y, x, spec, settings, reduced_form=False):
     )
     total = settings.burn_in + settings.draws
     mean_full = np.concatenate([mu, np.zeros(r)])
+    # the residuals at the current beta, shared by the volatility step and
+    # the next sweep's factor step
+    eps = residuals(y, x, beta_mat)
     slot = 0
     for sweep in range(total):
         try:
-            cur = ParamDraw(beta=beta_mat.ravel(), load=load, mu=mu, phi=phi, sig2=sig2)
-            f = sample_factors(y, x, cur, h, rng_f)
-            beta_mat, load = sample_beta_loadings(
-                y, x, rfp, f, h[:, :n], pri.beta_mean, pri.beta_var,
-                pri.load_mean, pri.load_var, spec.signs.codes, load, rng_eq,
-            )
-            resid = residuals(y, x, beta_mat) - f @ load.T
-            zmat = np.concatenate([resid, f], axis=1)
+            f = sample_factors(eps, load, h, rng_f)
+            beta_mat, load = sample_beta_loadings(y, rfp, f, h[:, :n], load, rng_eq)
+            eps = residuals(y, x, beta_mat)
+            zmat = np.concatenate([eps - f @ load.T, f], axis=1)
             ystar = np.log(zmat**2 + LOG_SQUARE_OFFSET)
             h = _stacked_sv_draw(ystar, h, mean_full, phi, sig2, rng_h)
             sig2 = sample_sigma2(

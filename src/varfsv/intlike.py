@@ -19,9 +19,11 @@ The factors enter only through the per-period precision K_t, which
 likelihood, the E-step, both Hessians and the Gibbs factor draw all work from
 C_t and u_t = C_t^{-1} b_t by triangular substitution (`tri_solve`).  The
 likelihood's quadratic form is a sum of non-negative terms (the residual
-form), so it stays exact at very negative h.  These and the AR(1) prior
-diagonals defined here are the only copies in the package; the Gibbs sampler
-uses them too.
+form), so it stays exact at very negative h.  The state prior is kept as
+its mean and the two non-zero diagonals of its precision, which
+`ar1_precision_times` applies and `neg_q_hessian` writes into -H_Q's bands.
+These and the AR(1) prior diagonals are the only copies in the package; the
+Gibbs sampler uses them too, stacked series by series.
 """
 
 from dataclasses import dataclass
@@ -135,19 +137,33 @@ def ar1_precision_diagonals(phi, sig2, T):
     return main, lag
 
 
+def ar1_precision_times(main, lag, v, stride):
+    """P v for the AR(1) prior precision P whose diagonals `main` and `lag`
+    (`ar1_precision_diagonals`, flat) are stacked like v: lag[j] couples v[j]
+    with v[j + stride], d for time-major stacking and 1 for series-major."""
+    out = main * v
+    coupling = lag[: len(v) - stride]
+    out[stride:] += coupling * v[:-stride]
+    out[:-stride] += coupling * v[stride:]
+    return out
+
+
 @dataclass(frozen=True)
 class StatePriorAssembly:
-    """Stacked state-equation representation of p(h | mu, phi, sig2).
+    """Stacked state-equation representation of p(h | mu, phi, sig2),
+    time-major: period t occupies [t*d, (t+1)*d).
 
-    mean      m, the stacked unconditional mean (idiosyncratic blocks mu,
-              factor blocks zero)
-    precision the banded matrix H' S^{-1} H, with H the stacked AR(1)
-              differencing operator and S the innovation variances (the first
-              time block at the stationary variance sig2 / (1 - phi^2))
+    mean  m, the stacked unconditional mean (idiosyncratic blocks mu,
+          factor blocks zero)
+    main  the main diagonal of the precision H' S^{-1} H, with H the stacked
+          AR(1) differencing operator and S the innovation variances (the
+          first time block at the stationary variance sig2 / (1 - phi^2))
+    lag   its other non-zero diagonal, d below the main one (zero-padded)
     """
 
     mean: np.ndarray
-    precision: BandSymMatrix
+    main: np.ndarray
+    lag: np.ndarray
 
     @classmethod
     def build(cls, mu, phi, sig2, T):
@@ -161,14 +177,8 @@ class StatePriorAssembly:
         d = len(phi)
         n = len(mu)
         mean = np.tile(np.concatenate([mu, np.zeros(d - n)]), T)
-        # time-major stacking: period t occupies [t*d, (t+1)*d), so the lag
-        # diagonal sits d bands below the main one
         main, lag = ar1_precision_diagonals(phi, sig2, T)
-        bands = np.zeros((d + 1 if T > 1 else 1, T * d))
-        bands[0] = main.T.ravel()
-        if T > 1:
-            bands[d] = lag.T.ravel()
-        return cls(mean, BandSymMatrix(bands))
+        return cls(mean, main.T.ravel(), lag.T.ravel())
 
 
 def log_state_prior(h, mu, phi, sig2):
@@ -281,34 +291,31 @@ def _estep(eps, load, c, u):
     return m, a, m**2 + np.sum(a**2, axis=1)
 
 
-def q_gradient(prior, h_flat, zhat_flat):
-    """Gradient of Q(. | h) at h_flat.  With z-hat from the E-step at h_flat
-    itself it is the exact score of log p(h | y, params) (Fisher's
-    identity).  The state precision is applied through its two non-zero
-    bands, the main one and the lag band n + r below it."""
-    dev = h_flat - prior.mean
-    bands = prior.precision.bands
-    lag = len(bands) - 1
-    prec_dev = bands[0] * dev
-    if lag:
-        coupling = bands[lag, :-lag]
-        prec_dev[lag:] += coupling * dev[:-lag]
-        prec_dev[:-lag] += coupling * dev[lag:]
-    return -prec_dev - 0.5 * (1.0 - np.exp(-h_flat) * zhat_flat)
+def q_gradient(prior, h, zhat):
+    """Gradient of Q(. | h) at the (T, n+r) paths h, flat.  With z-hat from
+    the E-step at h itself it is the exact score of log p(h | y, params)
+    (Fisher's identity)."""
+    h_flat = h.ravel()
+    prec_dev = ar1_precision_times(prior.main, prior.lag, h_flat - prior.mean, h.shape[1])
+    return -prec_dev - 0.5 * (1.0 - np.exp(-h_flat) * zhat.ravel())
 
 
-def neg_q_hessian(prior, h_flat, zhat_flat):
-    """-H_Q: the banded state precision plus a positive diagonal; always PD."""
-    return prior.precision.add_diagonal(0.5 * np.exp(-h_flat) * zhat_flat)
+def neg_q_hessian(prior, h, zhat):
+    """-H_Q at the (T, n+r) paths h: the state precision plus a positive
+    diagonal, always PD, in the bands the band Cholesky takes (the lag band
+    n+r below the main one, none at T = 1)."""
+    T, d = h.shape
+    bands = np.zeros((d + 1 if T > 1 else 1, T * d))
+    bands[0] = prior.main + 0.5 * np.exp(-h.ravel()) * zhat.ravel()
+    if T > 1:
+        bands[d] = prior.lag
+    return BandSymMatrix(bands)
 
 
 def _expand(eps, load, prior, h, c, u):
     """The `Expansion` at h from `factor_precision`'s C and u there."""
     m, a, zhat = _estep(eps, load, c, u)
-    h_flat, z_flat = h.ravel(), zhat.ravel()
-    return Expansion(
-        h, m, a, q_gradient(prior, h_flat, z_flat), neg_q_hessian(prior, h_flat, z_flat)
-    )
+    return Expansion(h, m, a, q_gradient(prior, h, zhat), neg_q_hessian(prior, h, zhat))
 
 
 def _expansion_at(h, draw, y, x):
@@ -379,7 +386,7 @@ def em_mode(y, x, draw, h0=None, max_em=100):
     eps = residuals(y, x, draw.beta)
     prior = StatePriorAssembly.build(draw.mu, draw.phi, draw.sig2, T)
     if h0 is None:
-        h = np.tile(np.concatenate([draw.mu, np.zeros(r)]), (T, 1))
+        h = prior.mean.reshape(T, n + r).copy()
     else:
         h = np.array(h0, dtype=float).reshape(T, n + r)
 
@@ -428,32 +435,26 @@ def em_mode(y, x, draw, h0=None, max_em=100):
 # Hessian routes
 
 
-def hessian_em(h_hat, draw, y, x, expansion=None):
+def hessian_em(ex):
     """Negative Hessian at the mode from the EM identity
     log p(h | .) = Q(h|h) + H(h|h), keeping only part of the missing
     information: the C^2 term, without the conditional-mean term (C = a'a
     from `_estep`; the sign of W does not enter C^2).  It is not the exact
     Hessian (`hessian_direct` is; at (n,r,T) = (20,3,200) its log det runs
     56-60 nats above the exact one) and need not be positive definite;
-    `importance_density` falls back to -H_Q when its Cholesky fails.
-    `expansion` is the `Expansion` at h_hat if the caller has it
-    (`EmResult.expansion`); it is computed otherwise."""
-    ex = _expansion_at(h_hat, draw, y, x) if expansion is None else expansion
-    if draw.r == 0:
-        return ex.neg_hq
+    `importance_density` falls back to -H_Q when its Cholesky fails.  `ex`
+    is the `Expansion` at the mode (`EmResult.expansion`)."""
     z = np.exp(-ex.h)[:, :, None] * (ex.a.transpose(0, 2, 1) @ ex.a)
     neg_hh = 0.5 * z.transpose(0, 2, 1) * (np.eye(ex.h.shape[1]) - z)
     return _add_period_blocks(ex.neg_hq, neg_hh)
 
 
-def hessian_direct(h_hat, draw, y, x, expansion=None):
-    """Exact negative Hessian of log p(y|h) + log p(h) at any h, from Louis's
-    identity (`_louis_neg_hessian`, which the mode search steps with); with
-    r = 0 the score covariance is zero and -H_Q alone is exact.  `expansion`
-    as in `hessian_em`."""
-    if expansion is None:
-        expansion = _expansion_at(h_hat, draw, y, x)
-    return _louis_neg_hessian(expansion)
+def hessian_direct(ex):
+    """Exact negative Hessian of log p(y|h) + log p(h) at the h of the
+    `Expansion` ex, from Louis's identity (`_louis_neg_hessian`, which the
+    mode search steps with); with r = 0 the score covariance is zero and
+    -H_Q alone is exact."""
+    return _louis_neg_hessian(ex)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +474,7 @@ def importance_density(y, x, draw, route="em"):
     if route not in builders:
         raise ValueError(f'route must be "em" or "direct", not {route!r}')
     em = em_mode(y, x, draw)
-    kh = builders[route](em.h_hat, draw, y, x, em.expansion)
+    kh = builders[route](em.expansion)
     fallback = False
     try:
         g = GaussianInPrecisionForm(em.h_hat.ravel(), kh)

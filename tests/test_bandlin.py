@@ -280,9 +280,6 @@ def test_band_routines_match_dense_algebra(dim, data):
     _rel_close(m.matvec(xs[0]), a @ xs[0])
     _rel_close(m.matvec(xs), xs @ a)
 
-    v = rng.uniform(size=dim)
-    _rel_close(m.add_diagonal(v).to_dense(), a + np.diag(v))
-
     # per-period blocks of any side that tiles dim, narrower or wider than the band
     side = data.draw(st.sampled_from([s for s in range(1, dim + 1) if dim % s == 0]))
     blocks = rng.standard_normal((dim // side, side, side))

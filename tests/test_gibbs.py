@@ -43,8 +43,9 @@ class TestSampleFactors:
         h[:, n:] = np.log(np.array([[0.5], [1.0], [2.0], [4.0]]))
         y = rng.standard_normal((T, n))
         x = np.column_stack([np.ones(T), rng.standard_normal((T, n))])
+        eps = y - x @ draw.beta_matrix().T
         draws = np.array(
-            [gibbs.sample_factors(y, x, draw, h, rng) for _ in range(20_000)]
+            [gibbs.sample_factors(eps, draw.load, h, rng) for _ in range(20_000)]
         )
         var = draws.var(axis=0)[:, 0]
         want = np.array([0.5, 1.0, 2.0, 4.0])
@@ -66,8 +67,9 @@ class TestSampleFactors:
         h = np.concatenate([hy, hf])[None, :]
         prec = np.exp(-hf[0]) + (load[:, 0] ** 2 * np.exp(-hy)).sum()
         mean = (load[:, 0] * np.exp(-hy) * y[0]).sum() / prec
+        eps = y - x @ draw.beta_matrix().T
         draws = np.array(
-            [gibbs.sample_factors(y, x, draw, h, rng)[0, 0] for _ in range(20_000)]
+            [gibbs.sample_factors(eps, load, h, rng)[0, 0] for _ in range(20_000)]
         )
         mcse = draws.std() / np.sqrt(len(draws))
         assert abs(draws.mean() - mean) < 3 * mcse
@@ -87,9 +89,9 @@ class TestSampleFactors:
         y = rng.standard_normal((T, n))
         x = np.column_stack([np.ones(T), rng.standard_normal((T, n))])
         h = 0.5 * rng.standard_normal((T, n + r))
-        got = gibbs.sample_factors(y, x, draw, h, np.random.default_rng(7))
-        z = np.random.default_rng(7).standard_normal((T, r))
         eps = y - x @ draw.beta_matrix().T
+        got = gibbs.sample_factors(eps, draw.load, h, np.random.default_rng(7))
+        z = np.random.default_rng(7).standard_normal((T, r))
         for t in range(T):
             sinv = np.diag(np.exp(-h[t, :n]))
             k = draw.load.T @ sinv @ draw.load + np.diag(np.exp(-h[t, n:]))
@@ -104,18 +106,22 @@ class TestSampleFactors:
             phi=np.full(2, 0.5), sig2=np.full(2, 0.1),
         )
         out = gibbs.sample_factors(
-            np.zeros((3, 2)), np.zeros((3, 3)), draw, np.zeros((3, 2)),
-            np.random.default_rng(0),
+            np.zeros((3, 2)), draw.load, np.zeros((3, 2)), np.random.default_rng(0),
         )
         assert out.shape == (3, 0)
 
 
-def draw_equation(y, x, fmat, h, bm, bv, lm, lv, signs, load, rng, rfp=None):
+def equation_layout(x, bm, bv, lm, lv, signs):
+    """The block's layout for one equation (n = 1)."""
+    return gibbs.RfpLayout(
+        x, bm[None], bv[None], lm[None], lv[None], np.array([signs], dtype=np.int8)
+    )
+
+
+def draw_equation(y, rfp, fmat, h, load, rng):
     """One equation's draw through the all-equations block (n = 1)."""
     beta, out = gibbs.sample_beta_loadings(
-        y[:, None], x, gibbs.RfpLayout(x, fmat.shape[1]) if rfp is None else rfp, fmat,
-        h[:, None], bm[None], bv[None], lm[None], lv[None],
-        np.array([signs], dtype=np.int8), np.asarray(load, float)[None], [rng],
+        y[:, None], rfp, fmat, h[:, None], np.asarray(load, float)[None], [rng],
     )
     return beta[0], out[0]
 
@@ -135,14 +141,10 @@ class TestSampleBetaLoadings:
         w = np.exp(-h)
         K = (z * w[:, None]).T @ z + np.diag(1 / np.concatenate([bv, lv]))
         want = np.linalg.solve(K, z.T @ (w * y))
-        rfp = gibbs.RfpLayout(x, fmat.shape[1])
+        rfp = equation_layout(x, bm, bv, lm, lv, [FREE])
         draws = np.array(
             [
-                np.concatenate(
-                    draw_equation(
-                        y, x, fmat, h, bm, bv, lm, lv, [FREE], [0.1], rng, rfp
-                    )
-                )
+                np.concatenate(draw_equation(y, rfp, fmat, h, [0.1], rng))
                 for _ in range(20_000)
             ]
         )
@@ -156,17 +158,14 @@ class TestSampleBetaLoadings:
         fmat = np.zeros((T, 1))  # no data information: posterior = prior
         y = np.zeros(T)
         h = np.zeros(T)
-        rfp = gibbs.RfpLayout(x, fmat.shape[1])
+        rfp = equation_layout(
+            x,
+            np.zeros(1), np.full(1, 1e6),  # diffuse beta prior
+            np.zeros(1), np.ones(1),       # loading prior N(0, 1)
+            [POS],
+        )
         draws = np.array(
-            [
-                draw_equation(
-                    y, x, fmat, h,
-                    np.zeros(1), np.full(1, 1e6),  # diffuse beta prior
-                    np.zeros(1), np.ones(1),       # loading prior N(0, 1)
-                    [POS], [1.0], rng, rfp,
-                )[1][0]
-                for _ in range(20_000)
-            ]
+            [draw_equation(y, rfp, fmat, h, [1.0], rng)[1][0] for _ in range(20_000)]
         )
         assert np.all(draws > 0)
         mcse = draws.std() / np.sqrt(len(draws))
@@ -190,14 +189,13 @@ class TestSampleBetaLoadings:
         fmat = np.zeros((T, 1))
         y = np.zeros(T)
         h = np.zeros(T)
-        rfp = gibbs.RfpLayout(x, fmat.shape[1])
+        rfp = equation_layout(
+            x, np.zeros(1), np.full(1, 1e6), np.full(1, -2.0), np.full(1, 0.25), [POS]
+        )
         load = np.array([1.0])
         draws = np.empty(10_000)
         for s in range(draws.size):
-            _, load = draw_equation(
-                y, x, fmat, h, np.zeros(1), np.full(1, 1e6),
-                np.full(1, -2.0), np.full(1, 0.25), [POS], load, rng, rfp,
-            )
+            _, load = draw_equation(y, rfp, fmat, h, load, rng)
             draws[s] = load[0]
         assert len(fallbacks) > 0.99 * draws.size
         assert np.all(draws > 0)
@@ -212,10 +210,10 @@ class TestSampleBetaLoadings:
         fmat = rng.standard_normal((T, 2))
         y = rng.standard_normal(T)
         h = np.zeros(T)
-        _, load = draw_equation(
-            y, x, fmat, h, np.zeros(2), np.ones(2), np.zeros(2), np.ones(2),
-            [ZERO, POS], [0.0, 1.0], rng,
+        rfp = equation_layout(
+            x, np.zeros(2), np.ones(2), np.zeros(2), np.ones(2), [ZERO, POS]
         )
+        _, load = draw_equation(y, rfp, fmat, h, [0.0, 1.0], rng)
         assert load[0] == 0.0 and load[1] > 0
 
     @staticmethod
@@ -242,14 +240,14 @@ class TestSampleBetaLoadings:
         y, x, fmat, h, bm, bv, lm, lv, load = self._block_inputs(
             np.random.default_rng(17), codes
         )
-        rfp = gibbs.RfpLayout(x, fmat.shape[1])
         perm = np.array([3, 0, 5, 1, 4, 2])
 
         def run(order):
             rngs = [np.random.default_rng(100 + i) for i in order]
+            rfp = gibbs.RfpLayout(x, bm[order], bv[order], lm[order], lv[order],
+                                  codes[order])
             return gibbs.sample_beta_loadings(
-                y[:, order], x, rfp, fmat, h[:, order], bm[order], bv[order],
-                lm[order], lv[order], codes[order], load[order], rngs,
+                y[:, order], rfp, fmat, h[:, order], load[order], rngs,
             )
 
         beta, out = run(np.arange(6))
@@ -272,7 +270,7 @@ class TestSampleBetaLoadings:
         )
         k, r = x.shape[1], codes.shape[1]
         beta, out = gibbs.sample_beta_loadings(
-            y, x, gibbs.RfpLayout(x, fmat.shape[1]), fmat, h, bm, bv, lm, lv, codes, load,
+            y, gibbs.RfpLayout(x, bm, bv, lm, lv, codes), fmat, h, load,
             [np.random.default_rng(200 + i) for i in range(len(codes))],
         )
         for i, row in enumerate(codes):
@@ -324,15 +322,13 @@ class TestSampleBetaLoadings:
             np.random.default_rng(21), codes
         )
         k = x.shape[1]
-        rfp = gibbs.RfpLayout(x, fmat.shape[1])
+        rfp = gibbs.RfpLayout(x, bm, bv, lm, lv, codes)
         rngs = [np.random.default_rng(300 + i) for i in range(len(codes))]
         draws = 20_000
         beta = np.empty((draws, *bm.shape))
         out = np.empty((draws, *lm.shape))
         for s in range(draws):
-            beta[s], load = gibbs.sample_beta_loadings(
-                y, x, rfp, fmat, h, bm, bv, lm, lv, codes, load, rngs
-            )
+            beta[s], load = gibbs.sample_beta_loadings(y, rfp, fmat, h, load, rngs)
             out[s] = load
         assert np.all(out[:, codes == ZERO] == 0.0)
         rng = np.random.default_rng(22)
@@ -367,7 +363,9 @@ class TestSampleBetaLoadings:
         lm = np.array([[3.0, -3.0], [-0.26, 0.0], [-2.0, 0.0]])
         lv = np.full((n, 2), 0.25)
         load = np.array([[1.0, -1.0], [1.0, 0.0], [1.0, 0.0]])
-        rfp = gibbs.RfpLayout(x, fmat.shape[1])
+        rfp = gibbs.RfpLayout(x, bm, bv, lm, lv, codes)
+        alone_rfp = [equation_layout(x, bm[i], bv[i], lm[i], lv[i], codes[i])
+                     for i in range(n)]
 
         proposals, boxes = [], []
         propose, box = gibbs.tmvn.TruncatedMVN._propose, gibbs.tmvn.gibbs_sample_box
@@ -388,9 +386,7 @@ class TestSampleBetaLoadings:
         for _ in range(30):
             proposals.clear()
             boxes.clear()
-            beta, out = gibbs.sample_beta_loadings(
-                y, x, rfp, fmat, h, bm, bv, lm, lv, codes, load, joint
-            )
+            beta, out = gibbs.sample_beta_loadings(y, rfp, fmat, h, load, joint)
             # one proposal for every row, then one batch for the rows that missed
             assert proposals[0] == (1, (0, 1, 2))
             assert all(size == 99 for size, _ in proposals[1:]) and len(proposals) <= 2
@@ -401,8 +397,7 @@ class TestSampleBetaLoadings:
                 proposals.clear()
                 boxes.clear()
                 b_i, l_i = draw_equation(
-                    y[:, i], x, fmat, h[:, i], bm[i], bv[i], lm[i], lv[i], codes[i],
-                    load[i], alone[i], rfp,
+                    y[:, i], alone_rfp[i], fmat, h[:, i], load[i], alone[i]
                 )
                 assert np.allclose(beta[i], b_i, rtol=0, atol=1e-12)
                 assert np.allclose(out[i], l_i, rtol=0, atol=1e-12)
@@ -425,8 +420,7 @@ class TestSampleBetaLoadings:
         rngs = [np.random.default_rng(i) for i in range(3)]
         with pytest.raises(NumericalError, match="equation 1"):
             gibbs.sample_beta_loadings(
-                y, x, gibbs.RfpLayout(x, fmat.shape[1]), fmat, h, bm, bv, lm, lv, codes,
-                load, rngs,
+                y, gibbs.RfpLayout(x, bm, bv, lm, lv, codes), fmat, h, load, rngs
             )
 
     def test_run_chain_prefixes_sweep(self):
@@ -454,7 +448,9 @@ class TestRfpLayout:
         # the slot map against LAPACK's own unpacking, for odd and even N
         r = min(3, N - 1)
         x = np.random.default_rng(N).standard_normal((4, N - 1 - r))
-        rfp = gibbs.RfpLayout(x, r)
+        k = x.shape[1]
+        rfp = gibbs.RfpLayout(x, np.zeros((1, k)), np.ones((1, k)), np.zeros((1, r)),
+                              np.ones((1, r)), np.zeros((1, r), np.int8))
         il = np.tril_indices(N)
         assert np.array_equal(rfp.pos, rfp.pos.T)
         assert np.array_equal(np.sort(rfp.pos[il]), np.arange(N * (N + 1) // 2))
@@ -478,9 +474,9 @@ class TestRfpLayout:
         y, x, fmat, h, bm, bv, lm, lv, _ = TestSampleBetaLoadings._block_inputs(rng, codes)
         (n, r), k = codes.shape, x.shape[1]
         m = k + r
-        rfp = gibbs.RfpLayout(x, r)
+        rfp = gibbs.RfpLayout(x, bm, bv, lm, lv, codes)
         for f in (fmat, rng.standard_normal(fmat.shape)):
-            a, keep = gibbs.bordered_precisions(y, x, rfp, f, h, bm, bv, lm, lv, codes)
+            a = gibbs.bordered_precisions(y, rfp, f, h)
             for i in range(n):
                 kept = np.concatenate([np.ones(k, bool), codes[i] != ZERO])
                 z = np.column_stack([x, f]) * kept
@@ -492,7 +488,7 @@ class TestRfpLayout:
                 want[m, :m] = z.T @ (w * y[:, i]) + theta0 / var0
                 want[m, m] = 2 * (w @ y[:, i] ** 2 + np.sum(theta0**2 / var0)) + 1
                 got = scipy.linalg.lapack.dtfttr(m + 1, a[i], transr="N", uplo="L")[0]
-                assert np.array_equal(keep[i], kept)
+                assert np.array_equal(rfp.keep[i], kept)
                 assert np.allclose(np.tril(got), np.tril(want), rtol=1e-12, atol=1e-12)
 
 
@@ -896,6 +892,35 @@ class TestRunChain:
         assert np.array_equal(back.h, chain.h)
         assert np.array_equal(back.phi_accept, chain.phi_accept)
         assert back.settings == chain.settings
+
+    def test_read_rejects_draws_that_disagree_with_manifest(self, tmp_path):
+        rng = np.random.default_rng(16)
+        y, x, spec = tiny_spec(rng, T=22)
+        settings = gibbs.McmcSettings(burn_in=2, draws=4, seed=2)
+        gibbs.run_chain(y, x, spec, settings, reduced_form=True).save(tmp_path / "chain")
+        path = tmp_path / "chain" / "draws.npz"
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["beta"] = arrays["beta"][:-1]
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ConfigError, match="beta"):
+            gibbs.McmcChain.read(tmp_path / "chain")
+
+    def test_run_chain_computes_residuals_once_per_sweep(self, monkeypatch):
+        # one residual product per beta draw, plus one at the start; the
+        # factor step reuses the previous sweep's
+        calls = []
+        residuals = gibbs.residuals
+
+        def counted(*args):
+            calls.append(1)
+            return residuals(*args)
+
+        monkeypatch.setattr(gibbs, "residuals", counted)
+        y, x, spec = tiny_spec(np.random.default_rng(21), n=3, T=25)
+        settings = gibbs.McmcSettings(burn_in=2, draws=3, seed=1)
+        gibbs.run_chain(y, x, spec, settings, reduced_form=True)
+        assert len(calls) == settings.burn_in + settings.draws + 1
 
     @pytest.mark.slow
     def test_order_invariance_in_distribution(self):

@@ -21,6 +21,7 @@ TEST_ONLY = {
     "McmcChain.save": "chain storage, which the diagnostics record extends",
     "McmcChain.read": "chain storage, which the diagnostics record extends",
     "log_cond_likelihood": "the public p(y | beta, L, h), factors integrated out",
+    "_expansion_at": "the Hessian oracles build expansions off the mode",
     "reduced_form_spec": "factor-count selection, pending a usable marginal likelihood",
     "select_factor_count": "factor-count selection, pending a usable marginal likelihood",
     "selection_experiment": "factor-count selection, pending a usable marginal likelihood",

@@ -51,7 +51,31 @@ class TestStatePrior:
         prior = intlike.StatePriorAssembly.build(mu, phi, sig2, T)
         m, cov = dense_state_covariance(mu, phi, sig2, T)
         assert np.allclose(prior.mean, m)
-        assert np.allclose(prior.precision.to_dense(), np.linalg.inv(cov), atol=1e-10)
+        zero = np.zeros((T, 3))
+        precision = intlike.neg_q_hessian(prior, zero, zero).to_dense()
+        assert np.allclose(precision, np.linalg.inv(cov), atol=1e-10)
+
+    @pytest.mark.parametrize("T", [1, 2, 5])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_ar1_precision_times_matches_dense(self, T, d):
+        # the dense H' S^{-1} H stacked time-major (stride d) and, permuted,
+        # series-major (stride 1)
+        rng = np.random.default_rng(10 * T + d)
+        phi = rng.uniform(-0.95, 0.95, d)
+        sig2 = rng.uniform(0.05, 0.3, d)
+        H = np.eye(T * d)
+        for t in range(1, T):
+            H[t * d : (t + 1) * d, (t - 1) * d : t * d] = -np.diag(phi)
+        s = np.tile(sig2, T)
+        s[:d] = sig2 / (1 - phi**2)
+        dense = H.T @ (H / s[:, None])
+        main, lag = intlike.ar1_precision_diagonals(phi, sig2, T)
+        v = rng.standard_normal(T * d)
+        series = np.arange(T * d).reshape(T, d).T.ravel()
+        got = intlike.ar1_precision_times(main.T.ravel(), lag.T.ravel(), v, d)
+        assert np.allclose(got, dense @ v, rtol=1e-14, atol=1e-14)
+        got = intlike.ar1_precision_times(main.ravel(), lag.ravel(), v[series], 1)
+        assert np.allclose(got, (dense @ v)[series], rtol=1e-14, atol=1e-14)
 
     def test_log_state_prior_T1_is_stationary_density(self):
         mu = np.array([-1.0])
@@ -122,9 +146,9 @@ class TestCondLikelihood:
             intlike.log_cond_likelihood(y, x, draw.beta, draw.load, h)
         for hessian in (intlike.hessian_em, intlike.hessian_direct):
             with pytest.raises(NotPositiveDefiniteError):
-                hessian(h, draw, y, x)
+                hessian(intlike._expansion_at(h, draw, y, x))
         with pytest.raises(NotPositiveDefiniteError):
-            gibbs.sample_factors(y, x, draw, h, rng)
+            gibbs.sample_factors(intlike.residuals(y, x, draw.beta), draw.load, h, rng)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -262,7 +286,7 @@ class TestEmMode:
         c, u, _ = intlike.factor_precision(eps, draw.load, h)
         _, _, zhat = intlike._estep(eps, draw.load, c, u)
         hf = h.ravel()
-        grad = intlike.q_gradient(prior, hf, zhat.ravel())
+        grad = intlike.q_gradient(prior, h, zhat)
 
         def log_target(hflat):
             hc = hflat.reshape(3, 3)
@@ -445,7 +469,7 @@ class TestHessians:
             ) + intlike.log_state_prior(hc, draw.mu, draw.phi, draw.sig2)
 
         want = -self.fd_hessian(log_target, h0)
-        got = intlike.hessian_direct(h0, draw, y, x).to_dense()
+        got = intlike.hessian_direct(intlike._expansion_at(h0, draw, y, x)).to_dense()
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-5
 
     def test_direct_cross_time_band_is_state_precision(self):
@@ -453,14 +477,14 @@ class TestHessians:
         y, x, draw = make_problem(rng, n=2, r=1, T=4)
         h = 0.3 * rng.standard_normal((4, 3))
         prior = intlike.StatePriorAssembly.build(draw.mu, draw.phi, draw.sig2, 4)
-        got = intlike.hessian_direct(h.ravel(), draw, y, x)
-        assert np.array_equal(got.bands[3], prior.precision.bands[3])
+        got = intlike.hessian_direct(intlike._expansion_at(h.ravel(), draw, y, x))
+        assert np.array_equal(got.bands[3], prior.lag)
 
     def test_em_hessian_beyond_band_zero_and_spd(self):
         rng = np.random.default_rng(13)
         y, x, draw = make_problem(rng, n=2, r=1, T=5)
         res = intlike.em_mode(y, x, draw)
-        kh = intlike.hessian_em(res.h_hat, draw, y, x)
+        kh = intlike.hessian_em(intlike._expansion_at(res.h_hat, draw, y, x))
         assert kh.bandwidth <= 3
         dense = kh.to_dense()
         m = dense.shape[0]
@@ -474,7 +498,7 @@ class TestHessians:
         rng = np.random.default_rng(14)
         y, x, draw = make_problem(rng, n=2, r=0, T=4)
         res = intlike.em_mode(y, x, draw)
-        kh = intlike.hessian_em(res.h_hat, draw, y, x)
+        kh = intlike.hessian_em(intlike._expansion_at(res.h_hat, draw, y, x))
 
         def log_target(hflat):
             hc = hflat.reshape(4, 2)
@@ -489,8 +513,9 @@ class TestHessians:
         rng = np.random.default_rng(16)
         y, x, draw = make_problem(rng, n=3, r=1, T=6)
         res = intlike.em_mode(y, x, draw)
-        kem = intlike.hessian_em(res.h_hat, draw, y, x).to_dense()
-        kdir = intlike.hessian_direct(res.h_hat, draw, y, x).to_dense()
+        ex = intlike._expansion_at(res.h_hat, draw, y, x)
+        kem = intlike.hessian_em(ex).to_dense()
+        kdir = intlike.hessian_direct(ex).to_dense()
         scale = np.abs(kdir).max()
         assert np.max(np.abs(kem - kdir)) <= 0.10 * scale
 
@@ -499,9 +524,9 @@ class TestHessians:
         y, x, draw = make_problem(rng, n=2, r=1, T=3, load_scale=0.0)
         h = 0.3 * rng.standard_normal((3, 3))
         prior = intlike.StatePriorAssembly.build(draw.mu, draw.phi, draw.sig2, 3)
-        got = intlike.hessian_direct(h.ravel(), draw, y, x).to_dense()
+        got = intlike.hessian_direct(intlike._expansion_at(h.ravel(), draw, y, x)).to_dense()
         eps = intlike.residuals(y, x, draw.beta)
-        want = prior.precision.to_dense()
+        want = intlike.neg_q_hessian(prior, h, np.zeros_like(h)).to_dense()
         for t in range(3):
             for i in range(2):
                 want[3 * t + i, 3 * t + i] += 0.5 * eps[t, i] ** 2 * np.exp(-h[t, i])
@@ -601,7 +626,7 @@ class TestIntegratedLikelihood:
         if not pd:
             monkeypatch.setattr(
                 intlike, f"hessian_{route}",
-                lambda h, d, yy, xx, ex: BandSymMatrix(-ex.neg_hq.bands),
+                lambda ex: BandSymMatrix(-ex.neg_hq.bands),
             )
         g, em, fallback = intlike.importance_density(y, x, draw, route=route)
         assert fallback is not pd
