@@ -11,6 +11,9 @@ halved until the exact log target does not decrease, so the iterates are
 monotone in that target.  Two Hessian routes are available for the
 importance density: the exact one (route "direct"), and the EM
 decomposition with only part of the missing information (the default).
+`integrated_likelihood` refits that density by efficient importance
+sampling on `_EIS_FIT` of its draws and averages the importance weights of
+the rest, drawn from the refit.
 
 Throughout, `h` is stored (T, n+r) with the idiosyncratic block first;
 stacked vectors interleave time-major, matching the banded state precision.
@@ -45,6 +48,8 @@ _EM_MAX_STEP = 3.0  # largest |change| of any h in one mode-search step
 # elements of h per chunk of draws in `importance_log_weights`: the chunk's
 # temporaries, a few arrays of this size, stay within a 2 MiB cache
 _CHUNK = 2**17
+_EIS_FIT = 50  # draws of each `integrated_likelihood` call spent on the EIS refit
+_EIS_PASSES = 2  # backfitting passes of the refit over the n + r coordinates
 
 
 def residuals(y, x, beta):
@@ -225,30 +230,35 @@ def log_cond_likelihood(y, x, beta, load, h):
     load = np.atleast_2d(np.asarray(load, dtype=float))
     eps = residuals(np.asarray(y, dtype=float), x, beta)
     h = np.asarray(h, dtype=float)
-    out = _log_cond_from_factors(eps, load, h, *factor_precision(eps, load, h))
+    out = _log_cond_from_factors(eps, load, h, *factor_precision(eps, load, h), 2)
     return out if h.ndim == 3 else float(out)
 
 
-def _log_cond_from_factors(eps, load, h, c, u, ehy):
+def _log_cond_from_factors(eps, load, h, c, u, ehy, axes):
     """`log_cond_likelihood` from `factor_precision(eps, load, h)`, summed over
-    the last two axes.  The log det of the covariance is sum h + log det K_t.
-    Its quadratic form eps' (L Omega L' + Sigma)^{-1} eps is taken in the
-    residual form (eps - L f-hat)' Sigma^{-1} (eps - L f-hat) +
-    f-hat' Omega^{-1} f-hat, f-hat = C'^{-1} u: a sum of non-negative terms.
+    the last `axes` axes of h: 2 for the whole path, 1 for one term per
+    period, log p(y_t | h_t).  The log det of the covariance is
+    sum h + log det K_t.  Its quadratic form eps' (L Omega L' + Sigma)^{-1} eps
+    is taken in the residual form (eps - L f-hat)' Sigma^{-1} (eps - L f-hat)
+    + f-hat' Omega^{-1} f-hat, f-hat = C'^{-1} u: a sum of non-negative terms.
     The Woodbury form eps' Sigma^{-1} eps - |u|^2 equals it, but its two terms
     both grow like eps_i^2 exp(-h_i) and cancel when an h_i is very
     negative."""
     n = load.shape[0]
+    summed = tuple(range(-axes, 0))
     fhat = tri_solve(c, u, trans=True)
-    # resid = L f-hat - eps, flattened to one row per leading index
-    resid = (fhat @ load.T).reshape(h.shape[:-2] + (-1,))
-    resid -= eps.ravel()
-    quad = np.einsum("...i,...i,...i->...", resid, resid, ehy.reshape(resid.shape))
-    quad += np.sum(fhat**2 * np.exp(-h[..., n:]), axis=(-2, -1))
-    logdet = np.sum(h, axis=(-2, -1)) + 2.0 * np.sum(
-        np.log(np.diagonal(c, axis1=-2, axis2=-1)), axis=(-2, -1)
+    resid = fhat @ load.T  # L f-hat - eps
+    resid -= eps
+    # the summed axes of the idiosyncratic terms flattened into one
+    flat = h.shape[:-axes] + (-1,)
+    quad = np.einsum(
+        "...i,...i,...i->...", resid.reshape(flat), resid.reshape(flat), ehy.reshape(flat)
     )
-    return -0.5 * eps.size * _LOG2PI - 0.5 * logdet - 0.5 * quad
+    quad += np.sum(fhat**2 * np.exp(-h[..., n:]), axis=summed)
+    logdet = np.sum(h, axis=summed) + 2.0 * np.sum(
+        np.log(np.diagonal(c, axis1=-2, axis2=-1)), axis=summed
+    )
+    return -0.5 * np.prod(eps.shape[-axes:]) * _LOG2PI - 0.5 * logdet - 0.5 * quad
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +405,7 @@ def em_mode(y, x, draw, h0=None, max_em=100):
         # which the E-step reuses once hh is accepted
         fp = factor_precision(eps, draw.load, hh)
         lp = log_state_prior(hh, draw.mu, draw.phi, draw.sig2)
-        return _log_cond_from_factors(eps, draw.load, hh, *fp) + lp, fp
+        return _log_cond_from_factors(eps, draw.load, hh, *fp, 2) + lp, fp
 
     target, fp = evaluate(h)
     ex = _expand(eps, draw.load, prior, h, *fp[:2])
@@ -501,24 +511,126 @@ def log_importance_average(logw):
     return float(log_mean), se, ess
 
 
+def _eis_response(y, x, draw, g, hs):
+    """The per-period response of the EIS refit at draws hs (rows) of the
+    importance density g with precision Q: r (T, F) and the deviations
+    delta = h - h-hat from g's mean, (T, n+r, F), draws on the last axis.
+
+    Q is the prior precision P plus one (n+r)-square block B_t per period on
+    the diagonal: the lag band is P's, and within a period P is diagonal.  So
+    with v = P (h-hat - m) and l_t = log p(y_t | h_t),
+
+        r_t = l_t(h_t) - delta_t' v_t + delta_t' B_t delta_t / 2
+
+    sums over t to the log importance weight log p(y | h) + log p(h) - log q(h)
+    plus a constant.  B_t is read from Q's bands 0..n+r-1, so the split holds
+    for either Hessian route and for the -H_Q fallback.
+    """
+    y = np.asarray(y, dtype=float)
+    T, d = y.shape[0], draw.n + draw.r
+    h = hs.reshape(-1, T, d)
+    eps = residuals(y, x, draw.beta)
+    prior = StatePriorAssembly.build(draw.mu, draw.phi, draw.sig2, T)
+    ell = _log_cond_from_factors(eps, draw.load, h, *factor_precision(eps, draw.load, h), 1)
+    delta = np.empty((T, d, len(h)))
+    np.subtract(h.transpose(1, 2, 0), g.mean.reshape(T, d, 1), out=delta)
+    grad = ar1_precision_times(prior.main, prior.lag, g.mean - prior.mean, d)
+    # B_t symmetric, (T, d, d): band `off` holds entries (i + off, i) of each
+    # block, at flat offsets off * d + i (d + 1) and off + i (d + 1)
+    block = np.zeros((T, d * d))
+    for off, band in enumerate(g.precision.bands[:d]):
+        band = band.reshape(T, d)[:, : d - off]
+        block[:, off * d :: d + 1][:, : d - off] = band
+        block[:, off :: d + 1][:, : d - off] = band
+    block[:, :: d + 1] -= prior.main.reshape(T, d)
+    block = block.reshape(T, d, d)
+    resp = ell.T - np.einsum("tif,ti->tf", delta, grad.reshape(T, d))
+    resp += 0.5 * np.einsum("tif,tif->tf", delta, block @ delta)
+    return resp, delta
+
+
+def _eis_refit(y, x, draw, g, hs):
+    """Efficient importance sampling (Richard & Zhang, 2007): the Gaussian
+    q* proportional to g(h) exp(sum_ti a_ti delta_ti + c_ti delta_ti^2),
+    delta = h - h-hat, with the coefficients fitted by least squares to the
+    log importance weights at draws hs (rows) of g, or None if q*'s
+    precision fails the band Cholesky.
+
+    The log weight is a sum of one term per period (`_eis_response`), so
+    each period's r_t is fitted by its own kappa_t + sum_i a_ti delta_ti +
+    c_ti delta_ti^2, by `_EIS_PASSES` backfitting passes over the n + r
+    coordinates: each step regresses the current residual on one
+    coordinate's centred (delta, delta^2), all periods at once.  q* keeps
+    g's bands with 2c subtracted from the main diagonal, Q* = Q - 2 diag(c),
+    and its mean is h-hat + Q*^{-1} a.
+    """
+    resp, delta = _eis_response(y, x, draw, g, hs)
+    T, d, n_fit = delta.shape
+    # the centred regressors (delta, delta^2) of each coordinate, (n+r, 2, T, F),
+    # and the inverse of each cell's 2 x 2 Gram matrix on them, (2, 2, n+r, T)
+    design = np.empty((d, 2, T, n_fit))
+    design[:, 0] = delta.transpose(1, 0, 2)
+    np.square(design[:, 0], out=design[:, 1])
+    design -= np.einsum("iktf->ikt", design)[..., None] / n_fit
+    s11, s12, s22 = (
+        np.einsum("itf,itf->it", design[:, k], design[:, l]) for k, l in ((0, 0), (0, 1), (1, 1))
+    )
+    gram_inv = np.array([[s22, -s12], [-s12, s11]]) / (s11 * s22 - s12**2)
+    resid = resp - resp.mean(axis=-1, keepdims=True)
+    coef = np.zeros((d, 2, T))  # (a, c) of each coordinate
+    for _ in range(_EIS_PASSES):
+        for i in range(d):
+            fit = np.einsum("ktf,tf->kt", design[i], resid)
+            step = np.einsum("kjt,jt->kt", gram_inv[:, :, i], fit)
+            resid -= np.einsum("kt,ktf->tf", step, design[i])
+            coef[i] += step
+    bands = g.precision.bands.copy()
+    bands[0] -= 2.0 * coef[:, 1].T.ravel()
+    refit = GaussianInPrecisionForm(g.mean, BandSymMatrix(bands))
+    try:
+        shift = refit.factor.solve(coef[:, 0].T.ravel())
+    except NotPositiveDefiniteError:
+        return None
+    refit.mean = g.mean + shift  # the factor depends on the precision only
+    return refit
+
+
 @dataclass
 class IntegratedLikelihoodResult:
+    """An integrated-likelihood estimate: the log of the mean importance
+    weight of r1 draws, its delta-method SE and the weights' ESS.
+    `refit` says whether the draws came from the EIS-refitted density
+    (`integrated_likelihood`), `kh_fallback` whether the density it started
+    from is the -H_Q one, and `n_em_iters` counts the mode search's
+    iterations."""
+
     log_value: float
     se: float  # delta-method SE of the log estimate
     ess: float
-    r1: int
+    r1: int  # draws in the average
+    refit: bool
     kh_fallback: bool = False
     n_em_iters: int = 0
 
 
 def integrated_likelihood(y, x, draw, r1, rng, route="em"):
-    """Importance-sampling estimate of log p(y | params) using R1 draws from
-    the Gaussian approximation of p(h | y, params)."""
-    if r1 < 2:
-        raise ValueError("need r1 >= 2")
+    """Importance-sampling estimate of log p(y | params) from R1 draws of
+    the log-volatility paths.
+
+    The first `_EIS_FIT` draws come from the Gaussian approximation of
+    p(h | y, params) (`importance_density`, on the Hessian `route`) and only
+    refit it by efficient importance sampling (`_eis_refit`).  The estimate
+    averages the importance weights of the other R1 - `_EIS_FIT` draws,
+    taken from the refitted density; if its precision is not positive
+    definite they come from the first density, and `refit` is False.
+    """
+    if r1 < _EIS_FIT + 2:
+        raise ValueError(f"need r1 >= {_EIS_FIT + 2}")
     g, em, fallback = importance_density(y, x, draw, route=route)
-    hs, log_q = g.sample_with_logpdf(rng, r1)
+    refitted = _eis_refit(y, x, draw, g, g.sample(rng, _EIS_FIT))
+    hs, log_q = (g if refitted is None else refitted).sample_with_logpdf(rng, r1 - _EIS_FIT)
     res = integrated_likelihood_from_draws(y, x, draw, hs, log_q)
+    res.refit = refitted is not None
     res.kh_fallback = fallback
     res.n_em_iters = em.n_em_iters
     return res
@@ -542,7 +654,7 @@ def importance_log_weights(y, x, draw, hs, log_q):
     for i in range(0, len(hcube), step):
         h = hcube[i : i + step]
         logw[i : i + step] = _log_cond_from_factors(
-            eps, draw.load, h, *factor_precision(eps, draw.load, h)
+            eps, draw.load, h, *factor_precision(eps, draw.load, h), 2
         ) + log_state_prior(h, draw.mu, draw.phi, draw.sig2)
     return logw - log_q
 
@@ -557,4 +669,4 @@ def integrated_likelihood_from_draws(y, x, draw, hs, log_q):
             f"importance weights degenerate (ESS={ess:.2f}); the Gaussian "
             "approximation is poor"
         )
-    return IntegratedLikelihoodResult(log_mean, se, ess, r1=len(logw))
+    return IntegratedLikelihoodResult(log_mean, se, ess, r1=len(logw), refit=False)

@@ -237,7 +237,8 @@ def adaptive_integrated_likelihood(y, x, draw, rng, r1_cap=640):
         logw = np.concatenate([logw, more])
         r1 += extra
     return intlike.IntegratedLikelihoodResult(
-        log_mean, se, ess, r1=r1, kh_fallback=fallback, n_em_iters=em.n_em_iters
+        log_mean, se, ess, r1=r1, refit=False, kh_fallback=fallback,
+        n_em_iters=em.n_em_iters,
     )
 
 

@@ -672,3 +672,78 @@ class TestIntegratedLikelihood:
         assert log_mean == pytest.approx(7.0)
         assert se == pytest.approx(0.0, abs=1e-12)
         assert ess == pytest.approx(4.0)
+
+
+class TestEisRefit:
+    @pytest.mark.parametrize("n,r,T", [(2, 1, 3), (3, 0, 4), (4, 2, 5)])
+    @pytest.mark.parametrize("route", ["em", "direct", "fallback"])
+    def test_period_responses_sum_to_log_weight(self, monkeypatch, n, r, T, route):
+        # sum_t r_t(h) and the log importance weight differ by one constant,
+        # whichever precision the density has: the EM or exact Hessian, or -H_Q
+        rng = np.random.default_rng(31)
+        y, x, draw = make_problem(rng, n=n, r=r, T=T)
+        not_pd = route == "fallback"
+        if not_pd:
+            route = "direct"
+            monkeypatch.setattr(
+                intlike, "hessian_direct", lambda ex: BandSymMatrix(-ex.neg_hq.bands)
+            )
+        g, _, fallback = intlike.importance_density(y, x, draw, route=route)
+        assert fallback is not_pd
+        hs, log_q = g.sample_with_logpdf(rng, 40)
+        resp, delta = intlike._eis_response(y, x, draw, g, hs)
+        assert resp.shape == (T, 40) and delta.shape == (T, n + r, 40)
+        logw = intlike.importance_log_weights(y, x, draw, hs, log_q)
+        gap = resp.sum(axis=0) - logw
+        assert np.all(np.abs(gap - gap[0]) <= 1e-9 * np.abs(logw))
+
+    def test_refit_matches_long_laplace_run_with_more_ess(self):
+        # 20 refit calls against one direct-route Laplace estimate of 20000
+        # draws; the refit's ESS per averaged draw beats the Laplace density's
+        y, x, draw = make_problem(np.random.default_rng(32), n=3, r=1, T=20)
+        g, _, _ = intlike.importance_density(y, x, draw, route="direct")
+        hs, log_q = g.sample_with_logpdf(np.random.default_rng(33), 20000)
+        ref = intlike.integrated_likelihood_from_draws(y, x, draw, hs, log_q)
+        r1, k = 256, 20
+        est, refit_ess, laplace_ess = [], [], []
+        for seed in range(k):
+            rng = np.random.default_rng([34, seed])
+            res = intlike.integrated_likelihood(y, x, draw, r1, rng, route="direct")
+            assert res.refit and res.r1 == r1 - intlike._EIS_FIT
+            est.append(res.log_value)
+            refit_ess.append(res.ess / res.r1)
+            hs, log_q = g.sample_with_logpdf(rng, res.r1)
+            lap = intlike.integrated_likelihood_from_draws(y, x, draw, hs, log_q)
+            laplace_ess.append(lap.ess / lap.r1)
+        mc = np.sqrt(np.var(est, ddof=1) / k + ref.se**2)
+        assert abs(np.mean(est) - ref.log_value) <= 4 * mc
+        assert np.mean(refit_ess) > np.mean(laplace_ess)
+
+    def test_refit_not_pd_draws_from_laplace_density(self, monkeypatch):
+        # a response that rises like 1e3 delta^2 fits c near 1e3, so the refitted
+        # precision Q - 2 diag(c) fails the band Cholesky
+        y, x, draw = make_problem(np.random.default_rng(35), n=3, r=1, T=6)
+        response = intlike._eis_response
+
+        def convex(*args):
+            resp, delta = response(*args)
+            return resp + 1e3 * np.sum(delta**2, axis=1), delta
+
+        monkeypatch.setattr(intlike, "_eis_response", convex)
+        res = intlike.integrated_likelihood(y, x, draw, 80, np.random.default_rng(36))
+        assert not res.refit and res.r1 == 80 - intlike._EIS_FIT
+        rng = np.random.default_rng(36)
+        g, _, _ = intlike.importance_density(y, x, draw)
+        g.sample(rng, intlike._EIS_FIT)
+        want = intlike.integrated_likelihood_from_draws(
+            y, x, draw, *g.sample_with_logpdf(rng, 80 - intlike._EIS_FIT)
+        )
+        assert res.log_value == want.log_value and res.ess == want.ess
+
+    def test_too_few_draws_raise(self):
+        # the average needs at least two draws beyond the fit's
+        y, x, draw = make_problem(np.random.default_rng(37), n=2, r=1, T=4)
+        with pytest.raises(ValueError, match="r1"):
+            intlike.integrated_likelihood(
+                y, x, draw, intlike._EIS_FIT + 1, np.random.default_rng(0)
+            )
